@@ -17,10 +17,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .malliavin import chain_batch
+from .malliavin import DegenerateCovarianceError, chain_batch
 from .models import TruncationFamily, generator_apply
 from .parallel import map_chunks
-from .simulate import TimeGrid, coupled_distance_block, euler_states, sample_noise_block
+from .simulate import TimeGrid, euler_states, sample_noise_block
 
 ALPHA_FLOOR = 0.01
 SPREAD_LIMIT = 0.10
@@ -235,12 +235,12 @@ def tail_check(fam, grid: TimeGrid, n_paths: int, y_offsets, fit: GeneratorFit,
     return reports
 
 
-def _dnorm_chunk(fam, grid, seed, p, lo, hi):
+def _dnorm_chunk(fam, grid, seed, p_list, lo, hi):
     dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
     ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
     h2 = grid.dt * np.sum(ch.G ** 2, axis=(1, 2, 3))
-    v = h2 ** (p / 2)
-    return np.array([v.sum(), (v * v).sum(), len(v)])
+    vs = [h2 ** (p / 2) for p in p_list]
+    return np.array([[v.sum(), (v * v).sum(), len(v)] for v in vs]).reshape(-1, 3)
 
 
 def _spread_report(check, values, extra) -> BoundReport:
@@ -252,21 +252,25 @@ def _spread_report(check, values, extra) -> BoundReport:
                        constants=consts)
 
 
-def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p: int,
-                seed=0, chunk=16384, workers=1) -> BoundReport:
-    """Uniformity in n of E[(sum_k dt |G_k|^2)^(p/2)] at t = T.
+def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
+                seed=0, chunk=16384, workers=1) -> list[BoundReport]:
+    """Uniformity in n of E[(sum_k dt |G_k|^2)^(p/2)] at t = T, p in {2, 4}.
 
-    Pass iff the spread across truncation levels is <= 10%.
+    One chain pass per level serves every p.  One report per p, in p_list
+    order; each passes iff its spread across truncation levels is <= 10%.
     """
-    if p not in (2, 4):
+    p_list = list(p_list)
+    if any(p not in (2, 4) for p in p_list):
         raise ValueError("p must be 2 or 4")
     means = []
     for n in levels:
         fam = TruncationFamily(base, n)
-        task = functools.partial(_dnorm_chunk, fam, grid, seed, p)
+        task = functools.partial(_dnorm_chunk, fam, grid, seed, p_list)
         s = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0)
-        means.append(s[0] / s[2])
-    return _spread_report("dnorm", means, {"p": p, "levels": list(levels)})
+        means.append(s[:, 0] / s[:, 2])
+    return [_spread_report("dnorm", [m[i] for m in means],
+                           {"p": p, "levels": list(levels)})
+            for i, p in enumerate(p_list)]
 
 
 def _covq_chunk(fam, grid, seed, lo, hi):
@@ -299,7 +303,7 @@ def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int,
         spreads.append((max(vals) - min(vals)) / max(vals))
     lhs = float(max(spreads))
     if not np.isfinite(lhs):
-        raise ValueError("covariance moment diverged")
+        raise DegenerateCovarianceError("covariance moment diverged")
     return BoundReport(check="covQ", lhs=lhs, se=0.0, rhs=SPREAD_LIMIT,
                        constants={"levels": list(levels), "table": table})
 
@@ -322,7 +326,8 @@ def _logdet_chunk(fam, grid, seed, lo, hi):
     ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
     sign, ld = np.linalg.slogdet(ch.Q)
     if np.any(sign <= 0):
-        raise ValueError("nonpositive covariance determinant encountered")
+        raise DegenerateCovarianceError(
+            "nonpositive covariance determinant encountered")
     return ld
 
 
@@ -373,6 +378,20 @@ def invcov_reference_slopes(dim: int, p: float) -> dict:
 # Truncation convergence
 # ---------------------------------------------------------------------------
 
+def _convergence_chunk(base, levels, grid, seed, p, lo, hi):
+    """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p;
+    one noise draw drives every level, and two levels' states are held at most."""
+    dW = sample_noise_block(grid, seed, lo, hi, base.dim)
+    prev = euler_states(TruncationFamily(base, levels[0]), grid.dt, dW)
+    sums = []
+    for n in levels[1:]:
+        X = euler_states(TruncationFamily(base, n), grid.dt, dW)
+        d = np.max(np.linalg.norm(prev - X, axis=-1), axis=1)
+        sums.append(float(np.sum(d ** p)))
+        prev = X
+    return sums
+
+
 def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 2,
                            seed=0, chunk=16384, workers=1):
     """E[max_k |X^{n_i} - X^{n_{i+1}}|^p]^(1/p) for consecutive coupled levels.
@@ -382,18 +401,7 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    rows = []
-    for n1, n2 in zip(levels, levels[1:]):
-        def task(lo, hi, n1=n1, n2=n2):
-            d = coupled_distance_block(base, n1, n2, grid, seed, lo, hi)
-            return float(np.sum(d ** p))
-        if workers > 1:
-            task = functools.partial(_coupled_chunk, base, n1, n2, grid, seed, p)
-        total = sum(map_chunks(task, n_paths, chunk, workers))
-        rows.append((n1, n2, float((total / n_paths) ** (1.0 / p))))
-    return rows
-
-
-def _coupled_chunk(base, n1, n2, grid, seed, p, lo, hi):
-    d = coupled_distance_block(base, n1, n2, grid, seed, lo, hi)
-    return float(np.sum(d ** p))
+    task = functools.partial(_convergence_chunk, base, levels, grid, seed, p)
+    parts = map_chunks(task, n_paths, chunk, workers)
+    return [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))
+            for n1, n2, col in zip(levels, levels[1:], zip(*parts))]

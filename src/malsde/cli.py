@@ -24,6 +24,7 @@ import scipy
 
 from . import __version__
 from .bounds import (
+    BoundReport,
     covQ_moment_check,
     dnorm_check,
     exp_moment_check,
@@ -34,9 +35,10 @@ from .bounds import (
     truncation_convergence,
 )
 from .density import (
-    density_derivative_mc,
-    density_mc,
+    _orthant_estimates,
+    count_drops,
     fit_decay_envelope,
+    full_alpha,
     gaussian_oracle,
     kde,
     kde_risk,
@@ -226,6 +228,10 @@ def load_config(path: str | None, overrides, seed=None, workers=None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _deep_merge(cfg, user)
+        model = user.get("model")
+        if isinstance(model, dict) and "id" in model:
+            # a named model brings its own params, not the defaults' (OU) ones
+            cfg["model"]["params"] = copy.deepcopy(model.get("params", {}))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -296,11 +302,10 @@ def _alpha_tag(alpha) -> str:
 
 def cmd_simulate(cfg, outdir: Path) -> int:
     model, fam, grid = _build(cfg)
-    rows = []
-    for p in cfg["simulate"]["p_list"]:
-        sup, se, _ = moment_estimate(fam, grid, p, cfg["paths"], cfg["seed"])
-        rows.append((cfg["model"]["id"], fam.level, grid.steps, cfg["paths"],
-                     cfg["seed"], p, sup, se))
+    p_list = cfg["simulate"]["p_list"]
+    estimates = moment_estimate(fam, grid, p_list, cfg["paths"], cfg["seed"])
+    rows = [(cfg["model"]["id"], fam.level, grid.steps, cfg["paths"],
+             cfg["seed"], p, sup, se) for p, (sup, se, _) in zip(p_list, estimates)]
     f = outdir / "moments.csv"
     write_csv(f, ["model", "n", "N", "M", "seed", "p", "sup_moment", "se"], rows)
     return EXIT_OK, [f]
@@ -322,18 +327,17 @@ def cmd_density(cfg, outdir: Path) -> int:
     env_fit = None
     if dcfg["envelope"]:
         env_fit = fit_generator_constants(fam, 2)
-    for alpha in dcfg["alphas"]:
-        alpha0 = tuple(a - 1 for a in alpha)  # config coords are 1-based
-        if alpha0:
-            est, se, _ = density_derivative_mc(fam, grid, m_paths, seed, ygrid,
-                                               alpha0, workers=workers)
-        else:
-            est, se, _ = density_mc(fam, grid, m_paths, seed, ygrid,
-                                    workers=workers)
-        xn, _, valid = weight_samples(fam, grid, min(m_paths, 50000), seed,
-                                      tuple(range(fam.dim)), workers=workers)
-        kde_vals = kde(xn[valid], ygrid) if not alpha0 else np.full(len(ys), np.nan)
-        risk = kde_risk(xn[valid], ygrid) if not alpha0 else np.full(len(ys), np.inf)
+    # config coords are 1-based; one weight pass serves every alpha and the KDE
+    alphas0 = [tuple(a - 1 for a in alpha) for alpha in dcfg["alphas"]]
+    xn, h, valid = weight_samples(fam, grid, m_paths, seed,
+                                  [full_alpha(fam.dim, a) for a in alphas0],
+                                  workers=workers)
+    count_drops(valid, m_paths)
+    kde_xn = xn[:50000][valid[:50000]]
+    for alpha, alpha0, h_alpha in zip(dcfg["alphas"], alphas0, h):
+        est, se = _orthant_estimates(xn, h_alpha, valid, ygrid, alpha0)
+        kde_vals = kde(kde_xn, ygrid) if not alpha0 else np.full(len(ys), np.nan)
+        risk = kde_risk(kde_xn, ygrid) if not alpha0 else np.full(len(ys), np.inf)
         oracle = (gaussian_oracle(model, grid.horizon, ygrid, alpha0,
                                   steps=grid.steps) if linear
                   else np.full(len(ys), np.nan))
@@ -377,7 +381,7 @@ def cmd_bounds(cfg, outdir: Path) -> int:
                      param, report.lhs, report.se, report.rhs, report.margin,
                      report.passed))
 
-    add(BoundLike("generator_fit", float(fit.holdout_violations), 0.0, 0.0),
+    add(BoundReport("generator_fit", float(fit.holdout_violations), 0.0, 0.0),
         f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}")
     for zeta in bcfg["zeta_list"]:
         add(exp_moment_check(fam, grid, m_paths, zeta, fit, seed=seed,
@@ -385,9 +389,9 @@ def cmd_bounds(cfg, outdir: Path) -> int:
     for rep in tail_check(fam, grid, m_paths, bcfg["y_offsets"], fit,
                           seed=seed, workers=workers):
         add(rep, f"y_off={rep.constants['offset']:g}")
-    for p in bcfg["p_list"]:
-        add(dnorm_check(model, levels, grid, m_paths, p, seed=seed,
-                        workers=workers), f"p={p}")
+    for rep in dnorm_check(model, levels, grid, m_paths, bcfg["p_list"],
+                           seed=seed, workers=workers):
+        add(rep, f"p={rep.constants['p']}")
     add(covQ_moment_check(model, levels, grid, m_paths, seed=seed,
                           workers=workers), "frobenius")
     scaling = invcov_moment_scaling(fam, bcfg["t_grid"], bcfg["p_list"],
@@ -406,21 +410,6 @@ def cmd_bounds(cfg, outdir: Path) -> int:
     write_csv(f, ["check", "model", "n", "N", "M", "seed", "param", "lhs",
                   "se", "rhs", "margin", "pass"], rows)
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), [f]
-
-
-class BoundLike:
-    """Minimal stand-in for BoundReport rows produced inline."""
-
-    def __init__(self, check, lhs, se, rhs):
-        self.check, self.lhs, self.se, self.rhs = check, lhs, se, rhs
-
-    @property
-    def margin(self):
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self):
-        return self.lhs <= self.rhs + 3 * self.se
 
 
 _ORACLE_FUNCS = {

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .malliavin import DegenerateCovarianceError, weight_alpha
+from .malliavin import DegenerateCovarianceError, chain_batch, weights_from_chain
 from .models import BrownianModel, OrnsteinUhlenbeckModel, TruncationFamily
 from .parallel import map_chunks
 from .simulate import TimeGrid, sample_noise_block
@@ -29,34 +29,45 @@ DROP_WARN_FRACTION = 1e-3
 # Weighted samples
 # ---------------------------------------------------------------------------
 
-def _weight_chunk(fam, grid, seed, alpha, lo, hi):
+def _weight_chunk(fam, grid, seed, alphas, lo, hi):
     dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    H, ch = weight_alpha(fam, grid.dt, dW, alpha)
-    return ch.X[:, -1, :], H, ~ch.degenerate
+    ch = chain_batch(fam, grid.dt, dW)
+    h = np.reshape(weights_from_chain(fam, ch, alphas), (len(alphas), hi - lo))
+    return ch.X[:, -1, :], h, ~ch.degenerate
 
 
-def weight_samples(fam, grid: TimeGrid, n_paths: int, seed: int, alpha,
+def weight_samples(fam, grid: TimeGrid, n_paths: int, seed: int, alphas,
                    chunk: int = 8192, workers: int = 1):
-    """Per-path (X_N, H_alpha, valid) arrays for paths 0..n_paths-1.
+    """Per-path (X_N, H, valid) arrays for paths 0..n_paths-1; row r of H is
+    H_alpha for alphas[r], and each chunk's one chain pass serves every alpha.
 
     `valid` is False on paths whose covariance determinant underflowed; such
     paths are dropped (and counted) by the estimators.
     """
-    task = functools.partial(_weight_chunk, fam, grid, seed, tuple(alpha))
+    task = functools.partial(_weight_chunk, fam, grid, seed, alphas)
     parts = map_chunks(task, n_paths, chunk, workers)
     xn = np.concatenate([p[0] for p in parts], axis=0)
-    h = np.concatenate([p[1] for p in parts], axis=0)
+    h = np.concatenate([p[1] for p in parts], axis=1)
     valid = np.concatenate([p[2] for p in parts], axis=0)
     return xn, h, valid
 
 
-def _orthant_estimates(xn, h, valid, ys, sign):
-    """Mean and SE of sign * H * 1_{X > y} over valid paths, per grid point."""
+def full_alpha(dim: int, alpha) -> tuple:
+    """Weight index (1..d, alpha) of d_alpha rho, 0-based; |alpha| + dim <= 2."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) + dim > 2:
+        raise ValueError("weight order |alpha| + dim exceeds the order-2 cap")
+    return tuple(range(dim)) + alpha
+
+
+def _orthant_estimates(xn, h, valid, ys, alpha):
+    """Mean and SE of (-1)^|alpha| H * 1_{X > y} over valid paths, per grid
+    point: the estimate of d_alpha rho when H is the weight H_(1..d, alpha)."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != xn.shape[1]:
         ys = ys.reshape(-1, xn.shape[1])
     xv = xn[valid]
-    hv = sign * h[valid]
+    hv = (-1.0) ** len(alpha) * h[valid]
     m = len(hv)
     est = np.empty(len(ys))
     se = np.empty(len(ys))
@@ -70,7 +81,8 @@ def _orthant_estimates(xn, h, valid, ys, sign):
     return est, se
 
 
-def _count_drops(valid, n_paths):
+def count_drops(valid, n_paths):
+    """Number of dropped paths; raises when (nearly) all of them are."""
     dropped = int(np.count_nonzero(~valid))
     if dropped >= n_paths - 1:
         raise DegenerateCovarianceError(
@@ -82,32 +94,17 @@ def _count_drops(valid, n_paths):
     return dropped
 
 
-def density_mc(fam, grid: TimeGrid, n_paths: int, seed: int, ys,
+def density_mc(fam, grid: TimeGrid, n_paths: int, seed: int, ys, alpha=(),
                chunk: int = 8192, workers: int = 1):
-    """Weight-based density estimate at the grid points ys.
+    """Weight-based estimate of d_alpha rho at the grid points ys; alpha = ()
+    gives the density itself, and |alpha| + dim <= 2.
 
     Returns (estimates, standard_errors, n_dropped).
     """
-    alpha = tuple(range(fam.dim))
-    xn, h, valid = weight_samples(fam, grid, n_paths, seed, alpha, chunk, workers)
-    dropped = _count_drops(valid, n_paths)
-    est, se = _orthant_estimates(xn, h, valid, ys, +1.0)
-    return est, se, dropped
-
-
-def density_derivative_mc(fam, grid: TimeGrid, n_paths: int, seed: int, ys,
-                          alpha=(0,), chunk: int = 8192, workers: int = 1):
-    """Estimate of d_alpha rho at ys; |alpha| + dim <= 2 (so dim 1 only).
-
-    Returns (estimates, standard_errors, n_dropped).
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) + fam.dim > 2:
-        raise ValueError("weight order |alpha| + dim exceeds the order-2 cap")
-    full = tuple(range(fam.dim)) + alpha
-    xn, h, valid = weight_samples(fam, grid, n_paths, seed, full, chunk, workers)
-    dropped = _count_drops(valid, n_paths)
-    est, se = _orthant_estimates(xn, h, valid, ys, (-1.0) ** len(alpha))
+    xn, h, valid = weight_samples(fam, grid, n_paths, seed,
+                                  [full_alpha(fam.dim, alpha)], chunk, workers)
+    dropped = count_drops(valid, n_paths)
+    est, se = _orthant_estimates(xn, h[0], valid, ys, alpha)
     return est, se, dropped
 
 
@@ -319,18 +316,3 @@ def fit_decay_envelope(ys, estimates, ses, t, x0, c2, gamma2, alpha2,
                       holdout_points=len(hold_idx), holdout_pass=hold_pass,
                       tail_slope=slope,
                       envelope_slope=-2 * np.exp(-eta * t) / q)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Grid of density (or derivative) estimates with all cross-checks."""
-
-    grid_points: np.ndarray
-    alpha: tuple
-    rho_hat: np.ndarray
-    rho_se: np.ndarray
-    rho_kde: np.ndarray | None = None
-    rho_oracle: np.ndarray | None = None
-    envelope: np.ndarray | None = None
-    n_paths: int = 0
-    n_dropped: int = 0

@@ -189,34 +189,43 @@ def weight_from_chain(ch: ChainBatch, i: int, g_value=None, g_pairing=None):
     return g_value * base - np.einsum("bj,bj->b", qrow, g_pairing)
 
 
-def weight_order1(model, dt, dW, i: int):
-    """H_{(i)}(1) per path; complex-safe end to end."""
-    ch = chain_batch(model, dt, dW)
-    return weight_from_chain(ch, i), ch
+def _inner_pairing(model, ch: ChainBatch, i: int):
+    """<D H_(i), DX^j> per path and j, by a complex step along dt G[:, :, j, :]."""
+    B, N, d = ch.dW.shape
+    pair = np.empty((B, d), dtype=ch.dW.dtype)
+    for j in range(d):
+        v = ch.dt * ch.G[:, :, j, :]
+        hc = weight_from_chain(chain_batch(model, ch.dt, ch.dW + (1j * _CSTEP) * v), i)
+        pair[:, j] = hc.imag / _CSTEP
+    return pair
+
+
+def weights_from_chain(model, ch: ChainBatch, alphas):
+    """H_alpha(1) per path for each alpha in alphas (0-based coords, |alpha|
+    in {1, 2}), all from the one chain `ch`.
+
+    For alpha = (i1, i2) the recursion H_alpha = H_{i2}(H_{(i1)}) is used, with
+    the pairings <D H_(i1), DX^j> from complex-step differentiation of the
+    first-order pipeline.  Each H_(i1) and its pairings are computed once.
+    """
+    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+    if any(len(alpha) not in (1, 2) for alpha in alphas):
+        raise ValueError("weights are implemented for |alpha| <= 2 only")
+    inner = {i: weight_from_chain(ch, i) for i in sorted({a[0] for a in alphas})}
+    pairs = {i: _inner_pairing(model, ch, i)
+             for i in sorted({a[0] for a in alphas if len(a) == 2})}
+    return [inner[a[0]] if len(a) == 1 else
+            weight_from_chain(ch, a[1], g_value=inner[a[0]], g_pairing=pairs[a[0]])
+            for a in alphas]
 
 
 def weight_alpha(model, dt, dW, alpha):
     """H_alpha(1) per path for |alpha| in {1, 2} (alpha holds 0-based coords).
 
-    For alpha = (i1, i2) the recursion H_alpha = H_{i2}(H_{(i1)}) is used; the
-    pairings <D H_inner, DX^j> come from complex-step differentiation of the
-    first-order pipeline.  Returns (H, ChainBatch).
+    Returns (H, ChainBatch).
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) == 1:
-        return weight_order1(model, dt, dW, alpha[0])
-    if len(alpha) != 2:
-        raise ValueError("weights are implemented for |alpha| <= 2 only")
-    i1, i2 = alpha
     ch = chain_batch(model, dt, dW)
-    h_in = weight_from_chain(ch, i1)
-    B, N, d = np.shape(dW)
-    pair = np.empty((B, d), dtype=h_in.dtype)
-    for j in range(d):
-        v = dt * ch.G[:, :, j, :]
-        hc, _ = weight_order1(model, dt, np.asarray(dW) + (1j * _CSTEP) * v, i1)
-        pair[:, j] = hc.imag / _CSTEP
-    return weight_from_chain(ch, i2, g_value=h_in, g_pairing=pair), ch
+    return weights_from_chain(model, ch, [alpha])[0], ch
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +354,8 @@ def ibp_weight_first(chain: EulerChain, fam, i: int = 0,
             for a in range(d):
                 v = np.zeros((1, N, d))
                 v[0, k, a] = 1.0
-                hc, _ = weight_order1(fam, dt, dW[None] + (1j * _CSTEP) * v, i)
-                inc[k, a] = float(hc[0].imag) / _CSTEP
+                ch = chain_batch(fam, dt, dW[None] + (1j * _CSTEP) * v)
+                inc[k, a] = float(weight_from_chain(ch, i)[0].imag) / _CSTEP
     return WeightValue(value=value, increment_derivatives=inc)
 
 

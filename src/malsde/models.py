@@ -9,6 +9,7 @@ differentiation through any composition of them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,20 +428,25 @@ class TruncationFamily:
 # Model zoo
 # ---------------------------------------------------------------------------
 
-MODEL_IDS = ("bm", "ou", "double-well-1d", "double-well-2d")
+_ZOO = {
+    "bm": BrownianModel,
+    "ou": OrnsteinUhlenbeckModel,
+    "double-well-1d": DoubleWell1DModel,
+    "double-well-2d": DoubleWell2DModel,
+}
+MODEL_IDS = tuple(_ZOO)
 
 
 def make_model(model_id: str, **params) -> SdeModel:
     """Instantiate a zoo model by string identifier."""
-    if model_id == "bm":
-        return BrownianModel(**params)
-    if model_id == "ou":
-        return OrnsteinUhlenbeckModel(**params)
-    if model_id == "double-well-1d":
-        return DoubleWell1DModel(**params)
-    if model_id == "double-well-2d":
-        return DoubleWell2DModel(**params)
-    raise ModelDefinitionError(f"unknown model id {model_id!r}; known: {MODEL_IDS}")
+    if model_id not in _ZOO:
+        raise ModelDefinitionError(f"unknown model id {model_id!r}; known: {MODEL_IDS}")
+    cls = _ZOO[model_id]
+    try:
+        inspect.signature(cls).bind(**params)
+    except TypeError as e:
+        raise ModelDefinitionError(f"model {model_id!r}: {e}") from None
+    return cls(**params)
 
 
 # ---------------------------------------------------------------------------

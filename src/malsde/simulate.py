@@ -7,7 +7,7 @@ the workhorses for the Monte Carlo estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,30 +126,30 @@ def coupled_distance_block(base, n1, n2, grid: TimeGrid, seed: int, path_lo: int
     return np.max(np.linalg.norm(X1 - X2, axis=-1), axis=1)
 
 
-def moment_estimate(fam, grid: TimeGrid, p: int, n_paths: int, seed: int, chunk: int = 16384):
-    """Monte Carlo estimate of sup_k E|X_k^n|^p over the time grid.
+def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int, chunk: int = 16384):
+    """Monte Carlo estimates of sup_k E|X_k^n|^p over the time grid for every
+    p in p_list, from one Euler pass per chunk.
 
-    Returns (sup_estimate, standard_error_of_that_maximum, per_step_means).
+    Returns one (sup_estimate, standard_error_of_that_maximum, per_step_means)
+    per p, in p_list order.
     """
-    if p < 1:
+    p_list = list(p_list)
+    if any(p < 1 for p in p_list):
         raise ValueError("p must be >= 1")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    d = fam.dim
-    N = grid.steps
-    s1 = np.zeros(N + 1)
-    s2 = np.zeros(N + 1)
+    s1 = np.zeros((len(p_list), grid.steps + 1))
+    s2 = np.zeros((len(p_list), grid.steps + 1))
     for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        dW = sample_noise_block(grid, seed, lo, hi, d)
-        X = euler_states(fam, grid.dt, dW)
-        v = np.linalg.norm(X, axis=-1) ** p
-        if not np.all(np.isfinite(v)):
-            raise NumericalBlowupError("|X|^p overflowed; reduce p or horizon")
-        s1 += v.sum(axis=0)
-        s2 += (v * v).sum(axis=0)
+        dW = sample_noise_block(grid, seed, lo, min(lo + chunk, n_paths), fam.dim)
+        r = np.linalg.norm(euler_states(fam, grid.dt, dW), axis=-1)
+        for i, p in enumerate(p_list):
+            v = r ** p
+            if not np.all(np.isfinite(v)):
+                raise NumericalBlowupError("|X|^p overflowed; reduce p or horizon")
+            s1[i] += v.sum(axis=0)
+            s2[i] += (v * v).sum(axis=0)
     means = s1 / n_paths
     var = np.maximum(s2 / n_paths - means ** 2, 0.0)
-    k_star = int(np.argmax(means))
-    se = float(np.sqrt(var[k_star] / n_paths))
-    return float(means[k_star]), se, means
+    return [(float(m[k]), float(np.sqrt(var_p[k] / n_paths)), m)
+            for m, var_p, k in zip(means, var, np.argmax(means, axis=1))]

@@ -22,7 +22,6 @@ from malsde.bounds import (
 )
 from malsde.cli import _ORACLE_FUNCS, main
 from malsde.density import (
-    density_derivative_mc,
     density_mc,
     fit_decay_envelope,
     gaussian_oracle,
@@ -150,8 +149,7 @@ def test_acceptance_4_ou_density_with_weak_error_budget():
             if alpha == ():
                 est, se, _ = density_mc(fam, grid, 50000, 4, ys)
             else:
-                est, se, _ = density_derivative_mc(fam, grid, 50000, 5, ys,
-                                                   alpha=alpha)
+                est, se, _ = density_mc(fam, grid, 50000, 5, ys, alpha=alpha)
             budget = np.abs(gaussian_oracle(m, 1.0, ys, alpha=alpha, steps=64)
                             - cont)
             assert np.all(np.abs(est - cont) <= 3 * se + budget + 1e-12)
@@ -235,7 +233,7 @@ def test_acceptance_9_decay_envelope():
         grid = TimeGrid(1.0, 32)
         fit = fit_generator_constants(fam, p=2)
         ys = np.linspace(-2.5, 2.5, 21)[:, None]
-        est, se, _ = density_derivative_mc(fam, grid, 100000, 11, ys, alpha=(0,))
+        est, se, _ = density_mc(fam, grid, 100000, 11, ys, alpha=(0,))
         check = fit_decay_envelope(ys, est, se, t=1.0, x0=np.zeros(1),
                                    c2=fam.constants.c2, gamma2=fit.gamma_p,
                                    alpha2=fit.alpha_p,

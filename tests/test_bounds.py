@@ -12,13 +12,14 @@ from malsde.bounds import (
     tail_check,
     truncation_convergence,
 )
+from malsde.malliavin import chain_batch
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
-from malsde.simulate import TimeGrid
+from malsde.simulate import TimeGrid, sample_noise_block
 
 
 def _centered_ou(kappa=1.0):
@@ -127,18 +128,35 @@ def test_tail_bound_holds_at_all_offsets(model_name, dw1):
 def test_dnorm_drift_free_exact():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     grid = TimeGrid(1.0, 16)
-    rep = dnorm_check(m, (2.0, 4.0, 8.0), grid, 2000, 2)
+    [rep] = dnorm_check(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
     # [TRIVIAL] sum dt |G_k|^2 = T on every path and level
     assert rep.lhs == 0.0 and rep.passed
     assert np.allclose(rep.constants["values"], 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
-        dnorm_check(m, (2.0, 4.0), grid, 100, 3)
+        dnorm_check(m, (2.0, 4.0), grid, 100, (3,))
+
+
+def test_dnorm_one_pass_serves_every_p(dw1):
+    grid = TimeGrid(1.0, 16)
+    levels = (1.0, 4.0)
+    reps = dnorm_check(dw1, levels, grid, 3000, (2, 4), chunk=1024)
+    dW = sample_noise_block(grid, 0, 0, 3000, 1)
+    h2 = [grid.dt * np.sum(chain_batch(TruncationFamily(dw1, n), grid.dt, dW,
+                                       want_weight_terms=False).G ** 2,
+                           axis=(1, 2, 3))
+          for n in levels]
+    assert [rep.constants["p"] for rep in reps] == [2, 4]
+    for rep, p in zip(reps, (2, 4)):
+        expect = [np.mean(h ** (p / 2)) for h in h2]
+        assert np.allclose(rep.constants["values"], expect, rtol=1e-12, atol=0)
+    # level 1 clamps the drift, so the levels really differ
+    assert reps[0].lhs > 0
 
 
 @pytest.mark.parametrize("p", [2, 4])
 def test_dnorm_uniform_in_level_double_well(p, dw1):
     grid = TimeGrid(1.0, 32)
-    rep = dnorm_check(dw1, (2.0, 4.0, 8.0), grid, 20000, p)
+    [rep] = dnorm_check(dw1, (2.0, 4.0, 8.0), grid, 20000, (p,))
     assert rep.passed, rep.constants["values"]
 
 

@@ -112,6 +112,41 @@ def test_out_env_variable(tmp_path, monkeypatch):
     assert (tmp_path / "moments.csv").exists()
 
 
+def test_readme_example_config_runs(tmp_path):
+    # the example config of the top-level README, at fewer paths
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({
+        "model": {"id": "double-well-1d",
+                  "params": {"x0": [0.0], "horizon": 1.0, "sigma0": 0.8}},
+        "truncation_level": 4.0,
+        "grid": {"horizon": 1.0, "steps": 64},
+        "paths": 50000,
+        "seed": 0,
+        "density": {"y_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
+                    "alphas": [[], [1]],
+                    "envelope": True}}))
+    assert _run(["simulate", "--config", p, "--out", tmp_path,
+                 "--set", "paths=2000", "--set", "grid.steps=16"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["model"]["params"] == {
+        "x0": [0.0], "horizon": 1.0, "sigma0": 0.8}
+
+
+def test_exit_code_wrong_model_param(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": {"id": "double-well-1d",
+                                       "params": {"kappa": 1.0}}}))
+    assert _run(["simulate", "--config", p, "--out", tmp_path]) == 2
+
+
+def test_exit_code_bounds_degenerate_covariance(tmp_path):
+    code = _run(["bounds", "--out", tmp_path,
+                 "--set", 'model.params={"dim":1,"x0":[0.5],"horizon":1.0,'
+                          '"kappa":1.0,"mu":[0.0],"sigma0":0.0}',
+                 "--set", "paths=500", "--set", "grid.steps=8"])
+    assert code == 3
+
+
 def test_config_file_plus_override(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"paths": 300, "grid": {"horizon": 1.0, "steps": 8}}))

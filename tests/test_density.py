@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import norm
 
 from malsde.density import (
-    density_derivative_mc,
     density_mc,
     fit_decay_envelope,
     gaussian_law,
@@ -13,6 +12,7 @@ from malsde.density import (
     silverman_bandwidth,
     weight_samples,
 )
+from malsde.malliavin import weight_alpha
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
@@ -47,7 +47,7 @@ def test_brownian_density_derivative_values():
     fam = _bm_fam()
     grid = TimeGrid(1.0, 32)
     ys = np.array([[0.0], [1.0]])
-    est, se, dropped = density_derivative_mc(fam, grid, 60000, 1, ys, alpha=(0,))
+    est, se, dropped = density_mc(fam, grid, 60000, 1, ys, alpha=(0,))
     # [DERIVED] rho'(0) = 0 and rho'(1) = -phi(1) = -0.24197
     assert abs(est[0]) <= 3 * se[0]
     assert abs(est[1] + norm.pdf(1.0)) <= 3 * se[1]
@@ -76,7 +76,7 @@ def test_density_order_cap_rejected(dw2):
     fam = TruncationFamily(dw2, 4.0)
     grid = TimeGrid(0.5, 16)
     with pytest.raises(ValueError):
-        density_derivative_mc(fam, grid, 2000, 0, np.zeros((1, 2)), alpha=(0,))
+        density_mc(fam, grid, 2000, 0, np.zeros((1, 2)), alpha=(0,))
 
 
 def test_double_well_density_symmetry():
@@ -231,6 +231,14 @@ def test_envelope_monte_carlo_double_well():
 def test_weight_samples_shapes():
     fam = _bm_fam()
     grid = TimeGrid(1.0, 8)
-    xn, h, valid = weight_samples(fam, grid, 3000, 0, (0,), chunk=1024)
-    assert xn.shape == (3000, 1) and h.shape == (3000,)
+    alphas = [(0,), (0, 0)]
+    xn, h, valid = weight_samples(fam, grid, 3000, 0, alphas, chunk=1024)
+    assert xn.shape == (3000, 1) and h.shape == (2, 3000)
     assert valid.all()
+    # one shared chain pass per chunk gives every alpha its own weight, bitwise
+    for lo, hi in ((0, 1024), (1024, 2048), (2048, 3000)):
+        dW = sample_noise_block(grid, 0, lo, hi, 1)
+        for alpha, h_alpha in zip(alphas, h):
+            ref, ch = weight_alpha(fam, grid.dt, dW, alpha)
+            assert np.array_equal(h_alpha[lo:hi], ref)
+        assert np.array_equal(xn[lo:hi], ch.X[:, -1, :])
