@@ -243,9 +243,17 @@ def _dnorm_chunk(fam, grid, seed, p_list, lo, hi):
     return np.array([[v.sum(), (v * v).sum(), len(v)] for v in vs]).reshape(-1, 3)
 
 
-def _spread_report(check, values, extra) -> BoundReport:
+def _spread(values, what) -> float:
+    """(max - min) / max; a non-finite value or a max <= 0 is a degenerate
+    covariance (a zero diffusion makes every value 0)."""
     values = np.asarray(values, dtype=float)
-    spread = float((values.max() - values.min()) / values.max())
+    if not (np.all(np.isfinite(values)) and values.max() > 0):
+        raise DegenerateCovarianceError(f"{what} degenerate: level values {values.tolist()}")
+    return float((values.max() - values.min()) / values.max())
+
+
+def _spread_report(check, values, extra) -> BoundReport:
+    spread = _spread(values, f"{check} moment")
     consts = dict(extra)
     consts["values"] = [float(v) for v in values]
     return BoundReport(check=check, lhs=spread, se=0.0, rhs=SPREAD_LIMIT,
@@ -300,10 +308,8 @@ def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int,
             s = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0)
             vals.append(s[0] / s[1])
         table[f"t={sub.horizon:g}"] = [float(v) for v in vals]
-        spreads.append((max(vals) - min(vals)) / max(vals))
-    lhs = float(max(spreads))
-    if not np.isfinite(lhs):
-        raise DegenerateCovarianceError("covariance moment diverged")
+        spreads.append(_spread(vals, "covariance moment"))
+    lhs = max(spreads)
     return BoundReport(check="covQ", lhs=lhs, se=0.0, rhs=SPREAD_LIMIT,
                        constants={"levels": list(levels), "table": table})
 

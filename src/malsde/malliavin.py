@@ -44,7 +44,8 @@ class ChainBatch:
     """All per-path quantities needed by the weight formulas.
 
     Shapes (B = paths, N = steps, d = dim):
-      X (B,N+1,d), sig/A (B,N,d,d), E (B,N,d,d,d), P (B,N+1,d,d),
+      X (B,N+1,d), sig/A (B,N,d,d), E (B,N,d,d,d) or None without weight
+      terms, P (B,N+1,d,d),
       G (B,N,d,d) with G[b,k,i,a] = dX_N^i / dW_k^a,
       Q/Qinv (B,d,d), det_q (B,), delta (B,d) = divergence of row j of DX,
       gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a].
@@ -55,7 +56,7 @@ class ChainBatch:
     X: np.ndarray
     sig: np.ndarray
     A: np.ndarray
-    E: np.ndarray
+    E: np.ndarray | None
     Js: np.ndarray
     P: np.ndarray
     G: np.ndarray
@@ -79,6 +80,8 @@ def _suffix_products(A):
 def chain_batch(model, dt, dW, want_weight_terms=True) -> ChainBatch:
     """Forward/backward passes producing every ChainBatch field.
 
+    Without weight terms only the flow (G, Q, Qinv) is built: no second
+    derivatives of the model are evaluated and E, delta, gamma stay None.
     Accepts complex dW; every operation is complex-analytic so the whole
     object supports complex-step differentiation.
     """
@@ -89,12 +92,13 @@ def chain_batch(model, dt, dW, want_weight_terms=True) -> ChainBatch:
     sig = model.diffusion(Xk)
     Jb = model.drift_jac(Xk)
     Js = model.diffusion_jac(Xk)
-    Hb = model.drift_hess(Xk)
-    Hs = model.diffusion_hess(Xk)
     eye = np.eye(d, dtype=dW.dtype)
     A = eye + Jb * dt + np.einsum("bnilp,bnl->bnip", Js, dW)
-    # E[b,n,i,p,q] = d(A_n)_{ip} / dX_n^q
-    E = Hb * dt + np.einsum("bnilpq,bnl->bnipq", Hs, dW)
+    E = None
+    if want_weight_terms:
+        # E[b,n,i,p,q] = d(A_n)_{ip} / dX_n^q
+        E = (model.drift_hess(Xk) * dt
+             + np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW))
     P = _suffix_products(A)
     G = np.einsum("bnij,bnjl->bnil", P[:, 1:], sig)
     Q = dt * np.einsum("bkia,bkja->bij", G, G)

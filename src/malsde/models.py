@@ -50,7 +50,7 @@ class SdeModel:
     """Base class for dX = b(X) dt + sigma(X) dW on R^d.
 
     Subclasses supply b and sigma together with their derivatives up to
-    third order; everything downstream (Euler chains, derivative chains,
+    second order; everything downstream (Euler chains, derivative chains,
     integration-by-parts weights) consumes exactly this interface.
     """
 
@@ -76,9 +76,6 @@ class SdeModel:
     def drift_hess(self, x):  # (..., d, d, d): [i, p, q]
         raise NotImplementedError
 
-    def drift_d3(self, x):  # (..., d, d, d, d): [i, p, q, r]
-        raise NotImplementedError
-
     # diffusion and its derivatives
     def diffusion(self, x):  # (..., d, d): [i, l]
         raise NotImplementedError
@@ -90,10 +87,6 @@ class SdeModel:
     def diffusion_hess(self, x):  # (..., d, d, d, d): [i, l, p, q]
         d = self.dim
         return np.zeros(np.shape(x)[:-1] + (d, d, d, d), dtype=np.asarray(x).dtype)
-
-    def diffusion_d3(self, x):  # (..., d, d, d, d, d): [i, l, p, q, r]
-        d = self.dim
-        return np.zeros(np.shape(x)[:-1] + (d, d, d, d, d), dtype=np.asarray(x).dtype)
 
 
 def _const_matrix(x, mat):
@@ -128,10 +121,6 @@ class BrownianModel(SdeModel):
         d = self.dim
         return np.zeros(np.shape(x)[:-1] + (d, d, d), dtype=np.asarray(x).dtype)
 
-    def drift_d3(self, x):
-        d = self.dim
-        return np.zeros(np.shape(x)[:-1] + (d, d, d, d), dtype=np.asarray(x).dtype)
-
     def diffusion(self, x):
         return _const_matrix(x, self.sigma0 * np.eye(self.dim))
 
@@ -163,10 +152,6 @@ class OrnsteinUhlenbeckModel(SdeModel):
         d = self.dim
         return np.zeros(np.shape(x)[:-1] + (d, d, d), dtype=np.asarray(x).dtype)
 
-    def drift_d3(self, x):
-        d = self.dim
-        return np.zeros(np.shape(x)[:-1] + (d, d, d, d), dtype=np.asarray(x).dtype)
-
     def diffusion(self, x):
         return _const_matrix(x, self.sigma0 * np.eye(self.dim))
 
@@ -193,11 +178,6 @@ class DoubleWell1DModel(SdeModel):
     def drift_hess(self, x):
         x = np.asarray(x)
         return (-6.0 * x)[..., None, None]
-
-    def drift_d3(self, x):
-        x = np.asarray(x)
-        out = np.full(x.shape + (1, 1, 1), -6.0, dtype=x.dtype)
-        return out.reshape(x.shape[:-1] + (1, 1, 1, 1))
 
     def diffusion(self, x):
         return _const_matrix(x, self.sigma0 * np.eye(1))
@@ -229,13 +209,6 @@ class DoubleWell2DModel(SdeModel):
         out[..., 1, 1, 1] = -6.0 * x[..., 1]
         return out
 
-    def drift_d3(self, x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape + (2, 2, 2), dtype=x.dtype)
-        out[..., 0, 0, 0, 0] = -6.0
-        out[..., 1, 1, 1, 1] = -6.0
-        return out
-
     def diffusion(self, x):
         x = np.asarray(x)
         out = np.zeros(x.shape + (2,), dtype=x.dtype)
@@ -257,101 +230,62 @@ class DoubleWell2DModel(SdeModel):
         out[..., 1, 1, 1, 1] = -0.1 * np.cos(x[..., 1])
         return out
 
-    def diffusion_d3(self, x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape + (2, 2, 2, 2), dtype=x.dtype)
-        out[..., 0, 0, 0, 0, 0] = -0.1 * np.cos(x[..., 0])
-        out[..., 1, 1, 1, 1, 1] = 0.1 * np.sin(x[..., 1])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Radial clamp and truncated drift family
 # ---------------------------------------------------------------------------
 
-def _radial_profile(r, n):
-    """g(r) and its first three derivatives for the clamp profile
-    g(r) = r on [0, n], g(r) = n + tanh(r - n) beyond.
-
-    g is C^2 at r = n (g(n)=n, g'(n)=1, g''(n)=0); g''' jumps there, which is
-    harmless almost everywhere.  `r` may be complex (branch on the real part).
-    """
-    out_mask = np.real(r) > n
-    rs = np.where(out_mask, r, n + 1.0)  # safe argument for the outer branch
-    th = np.tanh(rs - n)
-    sech2 = 1.0 - th ** 2
-    g = np.where(out_mask, n + th, r)
-    g1 = np.where(out_mask, sech2, 1.0 + 0.0 * r)
-    g2 = np.where(out_mask, -2.0 * sech2 * th, 0.0 * r)
-    g3 = np.where(out_mask, 4.0 * sech2 * th ** 2 - 2.0 * sech2 ** 2, 0.0 * r)
-    return out_mask, g, g1, g2, g3
+def _radius(x):
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def clamp_point(x, n):
     """kappa_n(x): identity on the ball |x| <= n, radial tanh saturation beyond.
 
-    Range is contained in the closed ball of radius n + 1.
+    The radial profile is g(r) = r on [0, n] and g(r) = n + tanh(r - n)
+    beyond; it is C^2 at r = n (g(n) = n, g'(n) = 1, g''(n) = 0).  Range is
+    contained in the closed ball of radius n + 1.  `x` may be complex (branch
+    on the real part of |x|).
     """
     x = np.asarray(x)
-    r2 = np.sum(x * x, axis=-1)
-    r = np.sqrt(r2)
-    out_mask, g, _, _, _ = _radial_profile(r, float(n))
-    r_safe = np.where(out_mask, r, 1.0)
-    scale = np.where(out_mask, g / r_safe, 1.0 + 0.0 * r)
+    n = float(n)
+    r = _radius(x)
+    out_mask = np.real(r) > n
+    r_out = np.where(out_mask, r, n + 1.0)  # safe argument for the outer branch
+    scale = np.where(out_mask, (n + np.tanh(r_out - n)) / r_out, 1.0 + 0.0 * r)
     return x * scale[..., None]
 
 
 def clamp_derivatives(x, n):
-    """kappa_n and its first three derivative tensors at x.
+    """kappa_n and its first two derivative tensors at points outside the
+    ball, |x| > n (on the ball kappa_n is the identity: K1 = I, K2 = 0).
 
-    Returns (k, K1, K2, K3) with shapes (...,d), (...,d,d), (...,d,d,d),
-    (...,d,d,d,d); indices are [component, d/dx_p, d/dx_q, d/dx_r].
+    Returns (k, K1, K2) with shapes (...,d), (...,d,d), (...,d,d,d); indices
+    are [component, d/dx_p, d/dx_q].
     """
     x = np.asarray(x)
-    d = x.shape[-1]
-    dt_ = x.dtype
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    out_mask, g, g1, g2, g3 = _radial_profile(r, float(n))
-    r_safe = np.where(out_mask, r, 1.0)
-    xh = x / r_safe[..., None]  # unit vector; only used on the outer branch
+    n = float(n)
+    eye = np.eye(x.shape[-1], dtype=x.dtype)
+    r = _radius(x)
+    th = np.tanh(r - n)
+    sech2 = 1.0 - th ** 2             # g'(r)
+    g = n + th
+    xh = x / r[..., None]
+    A = g / r
+    B = sech2 - A
+    C = B / r
+    E = -2.0 * sech2 * th - 3.0 * C   # g''(r) - 3C
 
-    eye = np.eye(d, dtype=dt_)
-    A = g / r_safe
-    B = g1 - A
-    C = B / r_safe
-    E = g2 - 3.0 * C
-    Cp = g2 / r_safe - 2.0 * B / r_safe ** 2
-    Ep = g3 - 3.0 * Cp
-
-    k = np.where(out_mask[..., None], g[..., None] * xh, x)
-
-    K1_out = A[..., None, None] * eye + B[..., None, None] * xh[..., :, None] * xh[..., None, :]
-    K1 = np.where(out_mask[..., None, None], K1_out, eye)
-
-    xq_dup = np.einsum("...q,up->...upq", xh, eye)
-    xp_duq = np.einsum("...p,uq->...upq", xh, eye)
-    xu_dpq = np.einsum("...u,pq->...upq", xh, eye)
+    k = g[..., None] * xh
+    K1 = A[..., None, None] * eye + B[..., None, None] * xh[..., :, None] * xh[..., None, :]
+    sym = (
+        np.einsum("...q,up->...upq", xh, eye)
+        + np.einsum("...p,uq->...upq", xh, eye)
+        + np.einsum("...u,pq->...upq", xh, eye)
+    )
     xxx = np.einsum("...u,...p,...q->...upq", xh, xh, xh)
-    K2_out = C[..., None, None, None] * (xq_dup + xp_duq + xu_dpq) + E[..., None, None, None] * xxx
-    K2 = np.where(out_mask[..., None, None, None], K2_out, np.zeros((d, d, d), dtype=dt_))
-
-    # projector (delta_ab - xh_a xh_b) / r, used by the third derivative
-    proj = (eye - np.einsum("...a,...b->...ab", xh, xh)) / r_safe[..., None, None]
-    t1 = np.einsum("...r,...upq->...upqr", xh, xq_dup + xp_duq + xu_dpq) * Cp[..., None, None, None, None]
-    t2 = (
-        np.einsum("...qr,up->...upqr", proj, eye)
-        + np.einsum("...pr,uq->...upqr", proj, eye)
-        + np.einsum("...ur,pq->...upqr", proj, eye)
-    ) * C[..., None, None, None, None]
-    t3 = np.einsum("...r,...upq->...upqr", xh, xxx) * Ep[..., None, None, None, None]
-    t4 = (
-        np.einsum("...ur,...p,...q->...upqr", proj * r_safe[..., None, None], xh, xh)
-        + np.einsum("...u,...pr,...q->...upqr", xh, proj * r_safe[..., None, None], xh)
-        + np.einsum("...u,...p,...qr->...upqr", xh, xh, proj * r_safe[..., None, None])
-    ) * (E / r_safe)[..., None, None, None, None]
-    K3_out = t1 + t2 + t3 + t4
-    K3 = np.where(out_mask[..., None, None, None, None], K3_out, np.zeros((d, d, d, d), dtype=dt_))
-    return k, K1, K2, K3
+    K2 = C[..., None, None, None] * sym + E[..., None, None, None] * xxx
+    return k, K1, K2
 
 
 class TruncationFamily:
@@ -360,6 +294,8 @@ class TruncationFamily:
     Exposes the same callable interface as SdeModel, so chains and weights can
     be built against a family exactly as against a raw model.  b_n agrees with
     b bitwise on the ball |x| <= n and is bounded by sup_{|y| <= n+1} |b(y)|.
+    Its derivatives are b's own on the ball; only the rows outside it go
+    through the chain rule with the clamp derivatives.
     """
 
     def __init__(self, base: SdeModel, level: float):
@@ -372,35 +308,32 @@ class TruncationFamily:
         self.horizon = base.horizon
         self.constants = base.constants
 
+    def _outside(self, x):
+        return np.real(_radius(x)) > self.level
+
     def drift(self, x):
         return self.base.drift(clamp_point(x, self.level))
 
     def drift_jac(self, x):
-        k, K1, _, _ = clamp_derivatives(x, self.level)
-        return np.einsum("...iu,...up->...ip", self.base.drift_jac(k), K1)
+        x = np.asarray(x)
+        J = self.base.drift_jac(x)
+        out = self._outside(x)
+        if out.any():
+            k, K1, _ = clamp_derivatives(x[out], self.level)
+            J[out] = np.einsum("...iu,...up->...ip", self.base.drift_jac(k), K1)
+        return J
 
     def drift_hess(self, x):
-        k, K1, K2, _ = clamp_derivatives(x, self.level)
-        J = self.base.drift_jac(k)
-        H = self.base.drift_hess(k)
-        return (
-            np.einsum("...iuv,...up,...vq->...ipq", H, K1, K1)
-            + np.einsum("...iu,...upq->...ipq", J, K2)
-        )
-
-    def drift_d3(self, x):
-        k, K1, K2, K3 = clamp_derivatives(x, self.level)
-        J = self.base.drift_jac(k)
-        H = self.base.drift_hess(k)
-        D3 = self.base.drift_d3(k)
-        out = np.einsum("...iuvw,...up,...vq,...wr->...ipqr", D3, K1, K1, K1)
-        out += (
-            np.einsum("...iuv,...upq,...vr->...ipqr", H, K2, K1)
-            + np.einsum("...iuv,...upr,...vq->...ipqr", H, K2, K1)
-            + np.einsum("...iuv,...uqr,...vp->...ipqr", H, K2, K1)
-        )
-        out += np.einsum("...iu,...upqr->...ipqr", J, K3)
-        return out
+        x = np.asarray(x)
+        H = self.base.drift_hess(x)
+        out = self._outside(x)
+        if out.any():
+            k, K1, K2 = clamp_derivatives(x[out], self.level)
+            H[out] = (
+                np.einsum("...iuv,...up,...vq->...ipq", self.base.drift_hess(k), K1, K1)
+                + np.einsum("...iu,...upq->...ipq", self.base.drift_jac(k), K2)
+            )
+        return H
 
     # diffusion is left untouched by the truncation
     def diffusion(self, x):
@@ -411,9 +344,6 @@ class TruncationFamily:
 
     def diffusion_hess(self, x):
         return self.base.diffusion_hess(x)
-
-    def diffusion_d3(self, x):
-        return self.base.diffusion_d3(x)
 
     def drift_sup_bound(self, n_samples=4096, seed=0):
         """sup |b_n| is bounded by sup of |b| over the ball of radius level+1."""

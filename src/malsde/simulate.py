@@ -116,16 +116,6 @@ def coupled_truncation_pair(base, n1: float, n2: float, grid: TimeGrid, noise: N
     return c1, c2, dist
 
 
-def coupled_distance_block(base, n1, n2, grid: TimeGrid, seed: int, path_lo: int, path_hi: int):
-    """Per-path sup-norm distances between coupled truncation levels."""
-    from .models import TruncationFamily
-
-    dW = sample_noise_block(grid, seed, path_lo, path_hi, base.dim)
-    X1 = euler_states(TruncationFamily(base, n1), grid.dt, dW)
-    X2 = euler_states(TruncationFamily(base, n2), grid.dt, dW)
-    return np.max(np.linalg.norm(X1 - X2, axis=-1), axis=1)
-
-
 def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int, chunk: int = 16384):
     """Monte Carlo estimates of sup_k E|X_k^n|^p over the time grid for every
     p in p_list, from one Euler pass per chunk.

@@ -12,7 +12,7 @@ from malsde.bounds import (
     tail_check,
     truncation_convergence,
 )
-from malsde.malliavin import chain_batch
+from malsde.malliavin import DegenerateCovarianceError, chain_batch
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
@@ -134,6 +134,15 @@ def test_dnorm_drift_free_exact():
     assert np.allclose(rep.constants["values"], 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
         dnorm_check(m, (2.0, 4.0), grid, 100, (3,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dnorm_zero_diffusion_is_degenerate():
+    # sigma = 0 makes every derivative norm 0: no spread to report
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+                               mu=[0.0], sigma0=0.0)
+    with pytest.raises(DegenerateCovarianceError):
+        dnorm_check(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
 
 
 def test_dnorm_one_pass_serves_every_p(dw1):

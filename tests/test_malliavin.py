@@ -14,7 +14,13 @@ from malsde.models import (
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
-from malsde.simulate import TimeGrid, euler_states, sample_noise, simulate_chain
+from malsde.simulate import (
+    TimeGrid,
+    euler_states,
+    sample_noise,
+    sample_noise_block,
+    simulate_chain,
+)
 
 
 def _chain(model, level, steps, seed=0, path=0):
@@ -189,6 +195,21 @@ def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
             for j in range(d):
                 gamma_full[j] += grid.dt * dq * G[k, j, b]
     assert np.allclose(gamma_full, ch.gamma[0], rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+def test_chain_without_weight_terms_matches_full_chain(dw2, step):
+    fam = TruncationFamily(dw2, 1.5)
+    grid = TimeGrid(dw2.horizon, 16)
+    dW = sample_noise_block(grid, 3, 0, 200, dw2.dim)
+    if step:
+        dW = dW + 1j * step * dW[::-1]
+    full = chain_batch(fam, grid.dt, dW)
+    flow = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
+    assert np.any(np.linalg.norm(full.X.real, axis=-1) > 1.5)  # both branches run
+    for name in ("G", "Q", "Qinv", "det_q"):
+        assert np.array_equal(getattr(flow, name), getattr(full, name)), name
+    assert flow.E is None and flow.delta is None and flow.gamma is None
 
 
 # ---------------------------------------------------------------------------

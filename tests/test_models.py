@@ -14,6 +14,7 @@ from malsde.models import (
     TruncationFamily,
     check_ellipticity,
     check_semi_monotone,
+    clamp_derivatives,
     clamp_point,
     eval_drift,
     eval_truncated_drift,
@@ -131,7 +132,6 @@ def test_truncated_drift_derivatives_fd(level):
     xs = rng.uniform(-4, 4, size=(200, 2))
     _fd_check(fam.drift, fam.drift_jac, xs)
     _fd_check(fam.drift_jac, fam.drift_hess, xs)
-    _fd_check(fam.drift_hess, fam.drift_d3, xs, rtol=2e-4, atol=1e-4)
 
 
 def test_diffusion_derivatives_fd(dw2):
@@ -139,7 +139,42 @@ def test_diffusion_derivatives_fd(dw2):
     xs = rng.uniform(-3, 3, size=(200, 2))
     _fd_check(dw2.diffusion, dw2.diffusion_jac, xs)
     _fd_check(dw2.diffusion_jac, dw2.diffusion_hess, xs)
-    _fd_check(dw2.diffusion_hess, dw2.diffusion_d3, xs, rtol=1e-4, atol=1e-6)
+
+
+def _chain_rule_one_row(fam, x):
+    """Jacobian and Hessian of b(kappa_n(x)) at a single point x, (1, d)."""
+    k, K1, K2 = clamp_derivatives(x, fam.level)
+    J = np.einsum("...iu,...up->...ip", fam.base.drift_jac(k), K1)
+    H = (np.einsum("...iuv,...up,...vq->...ipq", fam.base.drift_hess(k), K1, K1)
+         + np.einsum("...iu,...upq->...ipq", fam.base.drift_jac(k), K2))
+    return J[0], H[0]
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+def test_truncated_derivatives_base_inside_chain_rule_outside(step):
+    base = DoubleWell2DModel(x0=[0.0, 0.0], horizon=1.0)
+    fam = TruncationFamily(base, 1.5)
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([
+        rng.uniform(-1.0, 1.0, size=(6, 2)),           # inside
+        rng.uniform(1.2, 3.0, size=(6, 2)),            # outside
+        [[1.5, 0.0], [0.0, -1.5], [-1.5, 0.0]],         # on |x| = n
+    ])
+    rng.shuffle(xs)
+    if step:  # complex step: the branch follows the real part
+        xs = xs + 1j * step * rng.standard_normal(xs.shape)
+    inside = np.real(np.sqrt(np.sum(xs * xs, axis=-1))) <= 1.5
+    assert 0 < inside.sum() < len(xs)
+    J, H = fam.drift_jac(xs), fam.drift_hess(xs)
+    assert np.array_equal(J[inside], base.drift_jac(xs[inside]))
+    assert np.array_equal(H[inside], base.drift_hess(xs[inside]))
+    for i in np.flatnonzero(~inside):
+        J_row, H_row = _chain_rule_one_row(fam, xs[i:i + 1])
+        assert np.array_equal(J[i], J_row)
+        assert np.array_equal(H[i], H_row)
+    for i, x in enumerate(xs):  # unbatched (d,) input
+        assert np.array_equal(fam.drift_jac(x), J[i])
+        assert np.array_equal(fam.drift_hess(x), H[i])
 
 
 # ---------------------------------------------------------------------------
