@@ -24,26 +24,12 @@ from .models import (
 from .simulate import (
     NumericalBlowupError,
     TimeGrid,
-    NoisePath,
-    EulerChain,
-    sample_noise,
     sample_noise_block,
-    simulate_chain,
-    coupled_truncation_pair,
     moment_estimate,
 )
 from .malliavin import (
     DegenerateCovarianceError,
-    DerivativeChain,
-    SecondDerivativeChain,
-    CovMatrix,
-    WeightValue,
-    derivative_chain,
     second_derivative_chain,
-    malliavin_cov,
-    skorokhod,
-    ibp_weight_first,
-    ibp_weight_iterated,
     quadrature_oracle,
 )
 
@@ -66,24 +52,10 @@ __all__ = [
     "generator_apply",
     "NumericalBlowupError",
     "TimeGrid",
-    "NoisePath",
-    "EulerChain",
-    "sample_noise",
     "sample_noise_block",
-    "simulate_chain",
-    "coupled_truncation_pair",
     "moment_estimate",
     "DegenerateCovarianceError",
-    "DerivativeChain",
-    "SecondDerivativeChain",
-    "CovMatrix",
-    "WeightValue",
-    "derivative_chain",
     "second_derivative_chain",
-    "malliavin_cov",
-    "skorokhod",
-    "ibp_weight_first",
-    "ibp_weight_iterated",
     "quadrature_oracle",
     "__version__",
 ]

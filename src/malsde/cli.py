@@ -303,7 +303,8 @@ def _alpha_tag(alpha) -> str:
 def cmd_simulate(cfg, outdir: Path) -> int:
     model, fam, grid = _build(cfg)
     p_list = cfg["simulate"]["p_list"]
-    estimates = moment_estimate(fam, grid, p_list, cfg["paths"], cfg["seed"])
+    estimates = moment_estimate(fam, grid, p_list, cfg["paths"], cfg["seed"],
+                                workers=cfg["workers"])
     rows = [(cfg["model"]["id"], fam.level, grid.steps, cfg["paths"],
              cfg["seed"], p, sup, se) for p, (sup, se, _) in zip(p_list, estimates)]
     f = outdir / "moments.csv"
@@ -342,12 +343,19 @@ def cmd_density(cfg, outdir: Path) -> int:
                                   steps=grid.steps) if linear
                   else np.full(len(ys), np.nan))
         env_vals = np.full(len(ys), np.nan)
+        env_failed = False
         if env_fit is not None:
-            check = fit_decay_envelope(
-                ygrid, est, se, grid.horizon, fam.x0,
-                c2=fam.constants.c2, gamma2=env_fit.gamma_p,
-                alpha2=env_fit.alpha_p, lambda0=fam.constants.lambda_min)
-            env_vals = check.envelope.envelope(ygrid, grid.horizon)
+            try:
+                check = fit_decay_envelope(
+                    ygrid, est, se, grid.horizon, fam.x0,
+                    c2=fam.constants.c2, gamma2=env_fit.gamma_p,
+                    alpha2=env_fit.alpha_p, lambda0=fam.constants.lambda_min)
+            except ValueError as e:  # too few significant estimates to fit
+                print(f"envelope check failed (alpha {_alpha_tag(alpha)}): {e}",
+                      file=sys.stderr)
+                env_failed = True
+            else:
+                env_vals = check.envelope.envelope(ygrid, grid.horizon)
         for i, y in enumerate(ys):
             if linear:
                 ok = abs(est[i] - oracle[i]) <= 3 * se[i] + 1e-12
@@ -357,6 +365,7 @@ def cmd_density(cfg, outdir: Path) -> int:
                 ok = True
             if env_fit is not None and np.isfinite(env_vals[i]):
                 ok = ok and (abs(est[i]) <= env_vals[i] + 3 * se[i])
+            ok = ok and not env_failed
             all_pass &= bool(ok)
             rows.append((cfg["model"]["id"], fam.level, grid.steps, m_paths,
                          seed, y, _alpha_tag(alpha), est[i], se[i],

@@ -41,7 +41,7 @@ def weight_samples(fam, grid: TimeGrid, n_paths: int, seed: int, alphas,
     """Per-path (X_N, H, valid) arrays for paths 0..n_paths-1; row r of H is
     H_alpha for alphas[r], and each chunk's one chain pass serves every alpha.
 
-    `valid` is False on paths whose covariance determinant underflowed; such
+    `valid` is False on paths whose covariance Q is numerically singular; such
     paths are dropped (and counted) by the estimators.
     """
     task = functools.partial(_weight_chunk, fam, grid, seed, alphas)

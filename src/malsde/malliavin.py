@@ -1,12 +1,14 @@
 """Exact discrete Malliavin calculus on Euler chains.
 
 The chain X_0..X_N is a smooth function of the Gaussian increment vector
-(dW_0..dW_{N-1}), so derivative chains, the covariance matrix Q, the
-Skorokhod divergence and the integration-by-parts weights are all computed
-as exact finite-dimensional objects.  The IBP identity
+(dW_0..dW_{N-1}), so derivative chains, the covariance matrix Q, the row
+divergences and the integration-by-parts weights are all computed as exact
+finite-dimensional objects.  The IBP identity
 E[d_alpha g(X_N) G] = E[g(X_N) H_alpha] then holds exactly at every N.
 
-Per-path cost is O(N d^3) for first-order weights:
+`chain_batch` and `weights_from_chain` work on (paths, steps, dim) batches;
+a single path is a batch of one.  Per-path cost is O(N d^3) for first-order
+weights:
   * G_k = P_{k+1} sigma(X_k) with P the suffix product of the step Jacobians
     A_m = I + grad b dt + grad sigma dW_m;
   * the diagonal second-derivative sum (the divergence trace term) collapses
@@ -25,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import EulerChain, NoisePath, euler_states
+from .simulate import euler_states
 
-DET_Q_FLOOR = 1e-30
+# det Q / prod diag Q lies in [0, 1] (Hadamard) and is invariant under
+# rescaling a coordinate; a path whose ratio is not above this is degenerate
+DET_Q_RTOL = 1e-12
 _CSTEP = 1e-100
 
 
 class DegenerateCovarianceError(RuntimeError):
-    """det Q fell below the floating-point floor; covariance not invertible."""
+    """Q is numerically singular: det Q <= DET_Q_RTOL prod diag Q, or NaN."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,8 @@ def chain_batch(model, dt, dW, want_weight_terms=True) -> ChainBatch:
     Q = dt * np.einsum("bkia,bkja->bij", G, G)
 
     det_q = np.linalg.det(Q)
-    degenerate = np.real(det_q) <= DET_Q_FLOOR
+    diag_prod = np.prod(np.real(np.diagonal(Q, axis1=-2, axis2=-1)), axis=-1)
+    degenerate = ~(np.real(det_q) > DET_Q_RTOL * diag_prod)
     Q_safe = np.where(degenerate[:, None, None], eye, Q)
     Qinv = np.linalg.inv(Q_safe)
 
@@ -233,65 +238,17 @@ def weight_alpha(model, dt, dW, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Per-path API: derivative chains, covariance, divergence, weights
+# Reference second-derivative chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeChain:
-    """first[k] = dX_N / dW_k (d x d); jacobian_flow[m] = A_{N-1}...A_m."""
-
-    first: np.ndarray            # (N, d, d)
-    jacobian_flow: np.ndarray    # (N+1, d, d)
-
-
-@dataclass(frozen=True)
-class SecondDerivativeChain:
-    """second[j, k, i, a, b] = d^2 X_N^i / dW_j^a dW_k^b (symmetric)."""
-
-    second: np.ndarray           # (N, N, d, d, d)
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    Q: np.ndarray
-    det_q: float
-    q_inverse: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class WeightValue:
-    value: float
-    increment_derivatives: np.ndarray | None = None  # (N, d): D_k^a of value
-
-
-def derivative_chain(chain: EulerChain, fam) -> DerivativeChain:
-    """Exact dX_N / dW_k for one chain via the forward flow recursion."""
-    ch = chain_batch(fam, chain.grid.dt, chain.noise.increments[None], want_weight_terms=False)
-    return DerivativeChain(first=ch.G[0], jacobian_flow=ch.P[0])
-
-
-def malliavin_cov(deriv: DerivativeChain, dt: float) -> CovMatrix:
-    """Q = dt sum_k G_k G_k^T, with determinant and (guarded) inverse."""
-    G = deriv.first
-    Q = dt * np.einsum("kia,kja->ij", G, G)
-    det_q = float(np.linalg.det(Q))
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if np.min(eigs) < -1e-10 * max(1.0, np.max(np.abs(eigs))):
-        raise DegenerateCovarianceError("covariance matrix not positive semidefinite")
-    if det_q <= DET_Q_FLOOR:
-        raise DegenerateCovarianceError(f"det Q = {det_q:.3e} below floor")
-    return CovMatrix(Q=Q, det_q=det_q, q_inverse=np.linalg.inv(Q))
-
-
-def second_derivative_chain(chain: EulerChain, fam) -> SecondDerivativeChain:
-    """Full second-derivative tensor by differentiating the flow recursion.
-
-    O(N^2) storage; intended for moderate N (oracles and validation).
+def second_derivative_chain(fam, dt, dW) -> np.ndarray:
+    """out[j, k, i, a, b] = d^2 X_N^i / dW_j^a dW_k^b for one path, dW (N, d),
+    by differentiating the flow recursion.  O(N^2) storage: an independent
+    reference for the O(N) reductions of `chain_batch`.
     """
-    dt = chain.grid.dt
-    dW = chain.noise.increments
+    dW = np.asarray(dW)
     N, d = dW.shape
-    X = chain.states
+    X = euler_states(fam, dt, dW[None])[0]
     D = np.zeros((N, d, d))
     SD = np.zeros((N, N, d, d, d))
     for m in range(N):
@@ -309,66 +266,7 @@ def second_derivative_chain(chain: EulerChain, fam) -> SecondDerivativeChain:
             D[:m] = np.einsum("iq,jqa->jia", A, D[:m])
         SD[m, m] = 0.0
         D[m] = fam.diffusion(xm)
-    return SecondDerivativeChain(second=SD)
-
-
-def skorokhod(u, noise: NoisePath | np.ndarray, dt: float, du_diag=None) -> float:
-    """Discrete Skorokhod divergence of the process u.
-
-    delta(u) = sum_k <u_k, dW_k> - dt * sum_k trace(du_k / dW_k), the exact
-    divergence for the Gaussian vector of increments.  `du_diag[k]` is the
-    d x d matrix of diagonal increment-derivatives d u_k^a / d dW_k^b; omit it
-    for deterministic (or increment-independent) integrands.
-    """
-    dW = noise.increments if isinstance(noise, NoisePath) else np.asarray(noise)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    ito = float(np.sum(u * dW))
-    if du_diag is None:
-        return ito
-    du = np.asarray(du_diag, dtype=float)
-    return ito - dt * float(np.trace(du, axis1=-2, axis2=-1).sum())
-
-
-def _single_path_weight(chain: EulerChain, fam, alpha):
-    dt = chain.grid.dt
-    dW = chain.noise.increments[None]
-    H, ch = weight_alpha(fam, dt, dW, alpha)
-    if bool(ch.degenerate[0]):
-        raise DegenerateCovarianceError("degenerate covariance on this path")
-    return float(H[0].real if np.iscomplexobj(H) else H[0])
-
-
-def ibp_weight_first(chain: EulerChain, fam, i: int = 0,
-                     with_increment_derivatives: bool = False) -> WeightValue:
-    """First-order IBP weight H_{(i)}(1) for one chain.
-
-    When requested, the full family D_k^a H (needed to feed this weight into a
-    further integration by parts) is evaluated by complex steps along every
-    unit increment direction; this is O(N d) weight evaluations, meant for
-    moderate N.
-    """
-    value = _single_path_weight(chain, fam, (i,))
-    inc = None
-    if with_increment_derivatives:
-        dt = chain.grid.dt
-        dW = chain.noise.increments
-        N, d = dW.shape
-        inc = np.empty((N, d))
-        for k in range(N):
-            for a in range(d):
-                v = np.zeros((1, N, d))
-                v[0, k, a] = 1.0
-                ch = chain_batch(fam, dt, dW[None] + (1j * _CSTEP) * v)
-                inc[k, a] = float(weight_from_chain(ch, i)[0].imag) / _CSTEP
-    return WeightValue(value=value, increment_derivatives=inc)
-
-
-def ibp_weight_iterated(chain: EulerChain, fam, alpha) -> WeightValue:
-    """Iterated IBP weight H_alpha(1) for |alpha| in {1, 2}."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) > 2:
-        raise ValueError("weights of order |alpha| > 2 are not supported")
-    return WeightValue(value=_single_path_weight(chain, fam, alpha))
+    return SD
 
 
 # ---------------------------------------------------------------------------

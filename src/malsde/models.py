@@ -345,14 +345,6 @@ class TruncationFamily:
     def diffusion_hess(self, x):
         return self.base.diffusion_hess(x)
 
-    def drift_sup_bound(self, n_samples=4096, seed=0):
-        """sup |b_n| is bounded by sup of |b| over the ball of radius level+1."""
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n_samples, self.dim))
-        u = rng.random(n_samples) ** (1.0 / self.dim)
-        pts = (self.level + 1.0) * u[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
-        return float(np.max(np.linalg.norm(self.base.drift(pts), axis=-1)))
-
 
 # ---------------------------------------------------------------------------
 # Model zoo
@@ -382,22 +374,6 @@ def make_model(model_id: str, **params) -> SdeModel:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def eval_drift(model, x):
-    """b(x), with a finiteness check on the output."""
-    out = model.drift(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(out)):
-        raise ModelDefinitionError("drift produced a non-finite value")
-    return out
-
-
-def eval_truncated_drift(fam: TruncationFamily, x):
-    """b_n(x) = b(kappa_n(x)); identical to b(x) whenever |x| <= n."""
-    out = fam.drift(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(out)):
-        raise ModelDefinitionError("truncated drift produced a non-finite value")
-    return out
-
 
 def check_semi_monotone(model, pairs=None, n_pairs=2000, radius=5.0, seed=0, tol=1e-9):
     """Fitted one-sided Lipschitz constant K_hat over sampled point pairs.

@@ -1,17 +1,20 @@
 """Euler chains for truncated SDEs with deterministic, parallel-safe noise.
 
-Single-path objects (NoisePath, EulerChain) carry everything needed to replay
-a step bitwise; batch helpers operate on (paths, steps, dim) arrays and are
-the workhorses for the Monte Carlo estimators.
+Noise and states are (paths, steps, dim) arrays.  A path's increments are a
+pure function of (seed, path id, grid, dim), so any path range can be
+regenerated bitwise independently of batch or worker layout; a single path
+is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from .parallel import map_chunks
 
 
 class NumericalBlowupError(RuntimeError):
@@ -38,38 +41,9 @@ class TimeGrid:
         return self.dt * np.arange(self.steps + 1)
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments for one path: increments[k] ~ N(0, dt*I)."""
-
-    grid: TimeGrid
-    seed: int
-    path_id: int
-    increments: np.ndarray  # (steps, dim)
-
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[1]
-
-
-@dataclass(frozen=True)
-class EulerChain:
-    grid: TimeGrid
-    noise: NoisePath
-    states: np.ndarray  # (steps + 1, dim)
-    level: float | None = None
-
-
-def sample_noise(grid: TimeGrid, seed: int, path_id: int, dim: int) -> NoisePath:
-    """Counter-based increments; a pure function of (seed, path_id, grid, dim)."""
-    inc = rng.gaussian_increments(seed, path_id, path_id + 1, grid.steps, dim, grid.dt)[0]
-    return NoisePath(grid=grid, seed=seed, path_id=path_id, increments=inc)
-
-
 def sample_noise_block(grid: TimeGrid, seed: int, path_lo: int, path_hi: int, dim: int) -> np.ndarray:
-    """Increments for a contiguous path range, shape (paths, steps, dim).
-
-    Row i is bitwise identical to sample_noise(..., path_id=path_lo+i).
+    """N(0, dt I) increments of paths path_lo..path_hi-1, shape (paths, steps,
+    dim).  A path's row is bitwise the same in any block that contains it.
     """
     return rng.gaussian_increments(seed, path_lo, path_hi, grid.steps, dim, grid.dt)
 
@@ -96,27 +70,23 @@ def euler_states(model, dt: float, dW: np.ndarray, x0=None) -> np.ndarray:
     return X
 
 
-def simulate_chain(fam, grid: TimeGrid, noise: NoisePath) -> EulerChain:
-    """One full Euler chain X_{k+1} = X_k + b_n(X_k) dt + sigma(X_k) dW_k."""
-    states = euler_states(fam, grid.dt, noise.increments[None])[0]
-    level = getattr(fam, "level", None)
-    return EulerChain(grid=grid, noise=noise, states=states, level=level)
+def _moment_chunk(fam, grid: TimeGrid, seed: int, p_list, lo: int, hi: int):
+    """Per-step sums of |X_k|^p and |X_k|^(2p) over paths lo..hi-1, one row per p."""
+    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
+    r = np.linalg.norm(euler_states(fam, grid.dt, dW), axis=-1)
+    s1 = np.empty((len(p_list), grid.steps + 1))
+    s2 = np.empty((len(p_list), grid.steps + 1))
+    for i, p in enumerate(p_list):
+        v = r ** p
+        if not np.all(np.isfinite(v)):
+            raise NumericalBlowupError("|X|^p overflowed; reduce p or horizon")
+        s1[i] = v.sum(axis=0)
+        s2[i] = (v * v).sum(axis=0)
+    return s1, s2
 
 
-def coupled_truncation_pair(base, n1: float, n2: float, grid: TimeGrid, noise: NoisePath):
-    """Chains at two truncation levels driven by the identical noise, plus
-    their sup-norm distance max_k |X_k^{n1} - X_k^{n2}|."""
-    from .models import TruncationFamily
-
-    if n1 > n2:
-        raise ValueError("expected n1 <= n2")
-    c1 = simulate_chain(TruncationFamily(base, n1), grid, noise)
-    c2 = simulate_chain(TruncationFamily(base, n2), grid, noise)
-    dist = float(np.max(np.linalg.norm(c1.states - c2.states, axis=-1)))
-    return c1, c2, dist
-
-
-def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int, chunk: int = 16384):
+def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int,
+                    chunk: int = 16384, workers: int = 1):
     """Monte Carlo estimates of sup_k E|X_k^n|^p over the time grid for every
     p in p_list, from one Euler pass per chunk.
 
@@ -128,17 +98,10 @@ def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int, chunk:
         raise ValueError("p must be >= 1")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    s1 = np.zeros((len(p_list), grid.steps + 1))
-    s2 = np.zeros((len(p_list), grid.steps + 1))
-    for lo in range(0, n_paths, chunk):
-        dW = sample_noise_block(grid, seed, lo, min(lo + chunk, n_paths), fam.dim)
-        r = np.linalg.norm(euler_states(fam, grid.dt, dW), axis=-1)
-        for i, p in enumerate(p_list):
-            v = r ** p
-            if not np.all(np.isfinite(v)):
-                raise NumericalBlowupError("|X|^p overflowed; reduce p or horizon")
-            s1[i] += v.sum(axis=0)
-            s2[i] += (v * v).sum(axis=0)
+    task = functools.partial(_moment_chunk, fam, grid, seed, p_list)
+    s1 = s2 = 0.0
+    for c1, c2 in map_chunks(task, n_paths, chunk, workers):  # chunk order
+        s1, s2 = s1 + c1, s2 + c2
     means = s1 / n_paths
     var = np.maximum(s2 / n_paths - means ** 2, 0.0)
     return [(float(m[k]), float(np.sqrt(var_p[k] / n_paths)), m)

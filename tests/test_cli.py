@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -77,6 +78,16 @@ def test_density_worker_count_invariance(tmp_path):
     assert b"pass" in a_csv.splitlines()[0]
 
 
+def test_simulate_worker_count_invariance(tmp_path):
+    # 20000 paths span two 16384-path chunks, so --workers 2 runs both at once
+    a, b = tmp_path / "w1", tmp_path / "w2"
+    a.mkdir(), b.mkdir()
+    common = ["simulate", "--set", "paths=20000", "--set", "grid.steps=8"]
+    assert _run(common + ["--out", a, "--workers", "1"]) == 0
+    assert _run(common + ["--out", b, "--workers", "2"]) == 0
+    assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
+
+
 def test_exit_code_config_error(tmp_path):
     assert _run(["simulate", "--out", tmp_path, "--set", "bogus=1"]) == 2
     assert _run(["simulate", "--out", tmp_path,
@@ -84,7 +95,7 @@ def test_exit_code_config_error(tmp_path):
 
 
 def test_exit_code_numerical_failure(tmp_path):
-    # degenerate diffusion: every covariance matrix underflows the det floor
+    # zero diffusion: every covariance matrix is singular
     code = _run(["density", "--out", tmp_path,
                  "--set", 'model.params={"dim":1,"x0":[0.5],"horizon":1.0,'
                           '"kappa":1.0,"mu":[0.0],"sigma0":0.0}',
@@ -92,6 +103,25 @@ def test_exit_code_numerical_failure(tmp_path):
                  "--set", 'density.y_grid=[0.0]',
                  "--set", 'density.alphas=[[]]'])
     assert code == 3
+
+
+def test_density_tiny_diffusion_is_not_degenerate(tmp_path):
+    # sigma0 = 1e-16 gives det Q ~ 1e-32, yet Q is perfectly conditioned
+    code = _run(["density", "--out", tmp_path,
+                 "--set", "model.params.sigma0=1e-16", "--set", "paths=1000"])
+    assert code == 0
+
+
+def test_envelope_fit_failure_is_a_failed_check(tmp_path):
+    # far-tail grid: too few significant estimates to fit the envelope
+    code = _run(["density", "--out", tmp_path,
+                 "--set", "density.envelope=true", "--set", "paths=1000",
+                 "--set", "density.y_grid=[2.0,2.5,3.0,3.5,4.0]"])
+    assert code == 1
+    with open(tmp_path / "density.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 10
+    assert all(r["envelope"] == "nan" and r["pass"] == "0" for r in rows)
 
 
 def test_oracle_subcommand_passes(tmp_path):

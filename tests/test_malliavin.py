@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from malsde.density import count_drops
 from malsde.malliavin import (
     DegenerateCovarianceError,
     chain_batch,
-    derivative_chain,
-    malliavin_cov,
     second_derivative_chain,
-    skorokhod,
 )
 from malsde.models import (
     BrownianModel,
@@ -17,17 +15,21 @@ from malsde.models import (
 from malsde.simulate import (
     TimeGrid,
     euler_states,
-    sample_noise,
     sample_noise_block,
-    simulate_chain,
 )
 
 
-def _chain(model, level, steps, seed=0, path=0):
+def _path(model, level, steps, seed=0, path=0):
+    """Family, grid and the (steps, dim) increments of one path."""
     fam = TruncationFamily(model, level)
     grid = TimeGrid(model.horizon, steps)
-    noise = sample_noise(grid, seed, path, model.dim)
-    return fam, grid, noise, simulate_chain(fam, grid, noise)
+    dW = sample_noise_block(grid, seed, path, path + 1, model.dim)[0]
+    return fam, grid, dW
+
+
+def _flow(fam, grid, dW):
+    """chain_batch for one path, without weight terms."""
+    return chain_batch(fam, grid.dt, dW[None], want_weight_terms=False)
 
 
 # ---------------------------------------------------------------------------
@@ -35,44 +37,44 @@ def _chain(model, level, steps, seed=0, path=0):
 # ---------------------------------------------------------------------------
 
 def test_constant_diffusion_zero_drift_gives_sigma(bm):
-    fam, grid, noise, chain = _chain(bm, 50.0, 16)
-    deriv = derivative_chain(chain, fam)
-    assert np.allclose(deriv.first, np.eye(1), atol=1e-15)  # [TRIVIAL]
+    fam, grid, dW = _path(bm, 50.0, 16)
+    G = _flow(fam, grid, dW).G[0]
+    assert np.allclose(G, np.eye(1), atol=1e-15)  # [TRIVIAL]
 
 
 def test_ou_closed_form_chain():
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=1.0)
-    fam, grid, noise, chain = _chain(m, 50.0, 32)
-    deriv = derivative_chain(chain, fam)
+    fam, grid, dW = _path(m, 50.0, 32)
+    G = _flow(fam, grid, dW).G[0]
     N, dt = grid.steps, grid.dt
     expected = (1 - dt) ** (N - 1 - np.arange(N))  # [DERIVED] linear recursion
-    assert np.allclose(deriv.first[:, 0, 0], expected, rtol=1e-13)
+    assert np.allclose(G[:, 0, 0], expected, rtol=1e-13)
 
 
 def test_double_well_chain_matches_fd(dw1):
-    fam, grid, noise, chain = _chain(dw1, 4.0, 64, seed=5)
-    deriv = derivative_chain(chain, fam)
+    fam, grid, dW = _path(dw1, 4.0, 64, seed=5)
+    G = _flow(fam, grid, dW).G[0]
     h = 1e-5 * np.sqrt(grid.dt)
     rng = np.random.default_rng(0)
     for k in rng.integers(0, grid.steps, 12):
-        dp = noise.increments.copy()
-        dm = noise.increments.copy()
+        dp = dW.copy()
+        dm = dW.copy()
         dp[k, 0] += h
         dm[k, 0] -= h
         fd = (euler_states(fam, grid.dt, dp[None])[0, -1, 0]
               - euler_states(fam, grid.dt, dm[None])[0, -1, 0]) / (2 * h)
-        ref = deriv.first[k, 0, 0]
+        ref = G[k, 0, 0]
         assert abs(fd - ref) / max(abs(ref), 1e-10) <= 1e-5  # [DERIVED]
 
 
 def test_flow_factorization_consistency(dw2):
     # G_k equals (flow from k+1 to N) sigma(X_k) to relative error 1e-10
-    fam, grid, noise, chain = _chain(dw2, 4.0, 32, seed=2)
-    deriv = derivative_chain(chain, fam)
+    fam, grid, dW = _path(dw2, 4.0, 32, seed=2)
+    ch = _flow(fam, grid, dW)
     for k in range(grid.steps):
-        fac = deriv.jacobian_flow[k + 1] @ fam.diffusion(chain.states[k])
-        assert np.allclose(fac, deriv.first[k], rtol=1e-10, atol=1e-13)
+        fac = ch.P[0, k + 1] @ fam.diffusion(ch.X[0, k])
+        assert np.allclose(fac, ch.G[0, k], rtol=1e-10, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -80,39 +82,55 @@ def test_flow_factorization_consistency(dw2):
 # ---------------------------------------------------------------------------
 
 def test_cov_gram_structure_brownian(bm):
-    fam, grid, noise, chain = _chain(bm, 50.0, 64)
-    cov = malliavin_cov(derivative_chain(chain, fam), grid.dt)
+    fam, grid, dW = _path(bm, 50.0, 64)
+    ch = _flow(fam, grid, dW)
     # [TRIVIAL] Q = sigma sigma* T up to summation round-off
-    assert abs(cov.Q[0, 0] - 1.0) <= 1e-12
-    assert cov.det_q == pytest.approx(1.0, rel=1e-12)
-    assert cov.q_inverse[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert abs(ch.Q[0, 0, 0] - 1.0) <= 1e-12
+    assert ch.det_q[0] == pytest.approx(1.0, rel=1e-12)
+    assert ch.Qinv[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cov_ou_geometric_sum():
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=1.0)
-    fam, grid, noise, chain = _chain(m, 50.0, 128)
-    cov = malliavin_cov(derivative_chain(chain, fam), grid.dt)
+    fam, grid, dW = _path(m, 50.0, 128)
+    Q = _flow(fam, grid, dW).Q[0]
     a = 1 - grid.dt
     expected = grid.dt * (1 - a ** (2 * grid.steps)) / (1 - a * a)
-    assert cov.Q[0, 0] == pytest.approx(expected, rel=1e-12)  # [DERIVED]
+    assert Q[0, 0] == pytest.approx(expected, rel=1e-12)  # [DERIVED]
     # continuum limit (1 - e^-2)/2 is approached at order dt
-    assert cov.Q[0, 0] == pytest.approx((1 - np.exp(-2)) / 2, abs=0.01)
+    assert Q[0, 0] == pytest.approx((1 - np.exp(-2)) / 2, abs=0.01)
 
 
 def test_cov_degenerate_raises():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=0.0)
-    fam, grid, noise, chain = _chain(m, 8.0, 8)
+    fam, grid, dW = _path(m, 8.0, 8)
+    ch = _flow(fam, grid, dW)
+    assert ch.degenerate[0]
     with pytest.raises(DegenerateCovarianceError):
-        malliavin_cov(derivative_chain(chain, fam), grid.dt)
+        count_drops(~ch.degenerate, 1)
+
+
+@pytest.mark.parametrize("sigma0,degenerate", [(1.0, False), (1e-14, False), (0.0, True)])
+def test_degeneracy_is_scale_free(sigma0, degenerate):
+    # Q = sigma0^2 T I: perfectly conditioned at any sigma0 > 0, even where
+    # det Q = 1e-56 is far below any absolute floor
+    m = BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=sigma0)
+    fam = TruncationFamily(m, 8.0)
+    grid = TimeGrid(1.0, 8)
+    ch = chain_batch(fam, grid.dt, sample_noise_block(grid, 0, 0, 10, 2),
+                     want_weight_terms=False)
+    assert np.all(ch.degenerate == degenerate)
+    if not degenerate:
+        assert np.allclose(ch.Qinv @ ch.Q, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_cov_psd_double_well(dw2):
-    fam, grid, noise, chain = _chain(dw2, 4.0, 32, seed=7)
-    cov = malliavin_cov(derivative_chain(chain, fam), grid.dt)
-    eigs = np.linalg.eigvalsh(cov.Q)
+    fam, grid, dW = _path(dw2, 4.0, 32, seed=7)
+    Q = _flow(fam, grid, dW).Q[0]
+    eigs = np.linalg.eigvalsh(Q)
     assert np.all(eigs >= 0)
-    assert np.allclose(cov.Q, cov.Q.T, atol=1e-14)
+    assert np.allclose(Q, Q.T, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +140,14 @@ def test_cov_psd_double_well(dw2):
 def test_second_chain_linear_model_is_zero():
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.3], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=1.0)
-    fam, grid, noise, chain = _chain(m, 50.0, 16)
-    sd = second_derivative_chain(chain, fam)
-    assert np.all(sd.second == 0.0)  # [TRIVIAL]
+    fam, grid, dW = _path(m, 50.0, 16)
+    sd = second_derivative_chain(fam, grid.dt, dW)
+    assert np.all(sd == 0.0)  # [TRIVIAL]
 
 
 def test_second_chain_symmetry_and_fd(dw1):
-    fam, grid, noise, chain = _chain(dw1, 4.0, 32, seed=3)
-    sd = second_derivative_chain(chain, fam).second
+    fam, grid, dW = _path(dw1, 4.0, 32, seed=3)
+    sd = second_derivative_chain(fam, grid.dt, dW)
     sym = np.transpose(sd, (1, 0, 2, 4, 3))
     assert np.allclose(sd, sym, atol=1e-14)  # [TRIVIAL] Schwarz symmetry
     # [DERIVED] nested central differences, relative error 1e-3 at N=32
@@ -140,7 +158,7 @@ def test_second_chain_symmetry_and_fd(dw1):
         vals = np.zeros((2, 2))
         for sj in (0, 1):
             for sk in (0, 1):
-                dw = noise.increments.copy()
+                dw = dW.copy()
                 dw[j, 0] += (1 if sj else -1) * h
                 dw[k, 0] += (1 if sk else -1) * h
                 vals[sj, sk] = euler_states(fam, grid.dt, dw[None])[0, -1, 0]
@@ -150,8 +168,8 @@ def test_second_chain_symmetry_and_fd(dw1):
 
 
 def test_second_chain_fd_2d(dw2):
-    fam, grid, noise, chain = _chain(dw2, 4.0, 16, seed=4)
-    sd = second_derivative_chain(chain, fam).second
+    fam, grid, dW = _path(dw2, 4.0, 16, seed=4)
+    sd = second_derivative_chain(fam, grid.dt, dW)
     h = 1e-4
     rng = np.random.default_rng(2)
     for _ in range(8):
@@ -160,7 +178,7 @@ def test_second_chain_fd_2d(dw2):
         vals = np.zeros((2, 2, 2))
         for sj in (0, 1):
             for sk in (0, 1):
-                dw = noise.increments.copy()
+                dw = dW.copy()
                 dw[j, a] += (1 if sj else -1) * h
                 dw[k, b] += (1 if sk else -1) * h
                 vals[sj, sk] = euler_states(fam, grid.dt, dw[None])[0, -1]
@@ -177,11 +195,10 @@ def test_second_chain_fd_2d(dw2):
 @pytest.mark.parametrize("which", ["dw1", "dw2"])
 def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
     model = {"dw1": dw1, "dw2": dw2}[which]
-    fam, grid, noise, chain = _chain(model, 4.0, 12, seed=6)
+    fam, grid, dW = _path(model, 4.0, 12, seed=6)
     N, d = grid.steps, model.dim
-    dW = noise.increments
     ch = chain_batch(fam, grid.dt, dW[None])
-    sd = second_derivative_chain(chain, fam).second
+    sd = second_derivative_chain(fam, grid.dt, dW)
     G = ch.G[0]
     diag2 = np.einsum("kjaa->j", np.array([sd[k, k] for k in range(N)]))
     delta_full = np.einsum("kja,ka->j", G, dW) - grid.dt * diag2
@@ -216,30 +233,10 @@ def test_chain_without_weight_terms_matches_full_chain(dw2, step):
 # Skorokhod divergence
 # ---------------------------------------------------------------------------
 
-def test_skorokhod_deterministic_integrand():
-    g = TimeGrid(1.0, 32)
-    noise = sample_noise(g, 0, 0, 1)
-    u = np.full((g.steps, 1), 1.0 / g.horizon)
-    # [TRIVIAL] deterministic integrand: divergence is the Ito sum W_T / T
-    assert skorokhod(u, noise, g.dt) == pytest.approx(
-        float(noise.increments.sum()) / g.horizon, rel=1e-14)
-
-
-def test_skorokhod_quadratic_identity():
-    g = TimeGrid(1.0, 64)
-    noise = sample_noise(g, 1, 0, 1)
-    u = noise.increments.copy()
-    du = np.broadcast_to(np.eye(1), (g.steps, 1, 1))
-    got = skorokhod(u, noise, g.dt, du_diag=du)
-    expected = float(np.sum(noise.increments**2)) - g.horizon
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
 @pytest.mark.parametrize("adapted", [True, False])
 def test_skorokhod_centered(adapted):
     # E[delta(u)] = 0 within 3 SE for adapted and non-adapted integrands
     g = TimeGrid(1.0, 16)
-    from malsde.simulate import sample_noise_block
     dW = sample_noise_block(g, 11, 0, 20000, 1)
     w_cum = np.cumsum(dW, axis=1) - dW  # W_{t_k}, adapted
     w_total = dW.sum(axis=1, keepdims=True) * np.ones_like(dW)

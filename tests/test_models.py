@@ -16,8 +16,6 @@ from malsde.models import (
     check_semi_monotone,
     clamp_derivatives,
     clamp_point,
-    eval_drift,
-    eval_truncated_drift,
     generator_apply,
     make_model,
 )
@@ -29,28 +27,23 @@ from malsde.models import (
 
 def test_drift_values(dw1, ou):
     base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
-    assert eval_drift(base, [0.0]) == pytest.approx(0.0)  # [TRIVIAL]
-    assert eval_drift(base, [2.0]) == pytest.approx(-6.0)  # [DERIVED] 2 - 8
+    assert base.drift(np.array([0.0])) == pytest.approx(0.0)  # [TRIVIAL]
+    assert base.drift(np.array([2.0])) == pytest.approx(-6.0)  # [DERIVED] 2 - 8
     ou3 = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
                                  mu=[0.0], sigma0=1.0)
-    assert eval_drift(ou3, [3.0]) == pytest.approx(-3.0)  # [DERIVED]
-
-
-def test_nonfinite_input_rejected(dw1):
-    with pytest.raises(ModelDefinitionError):
-        eval_drift(dw1, [np.nan])
+    assert ou3.drift(np.array([3.0])) == pytest.approx(-3.0)  # [DERIVED]
 
 
 def test_truncated_drift_values():
     base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
     # [TRIVIAL] inside the ball the clamp is the identity
-    assert eval_truncated_drift(TruncationFamily(base, 4.0), [1.0]) == pytest.approx(0.0)
+    assert TruncationFamily(base, 4.0).drift(np.array([1.0])) == pytest.approx(0.0)
     # [DERIVED] n=1, x=3: evaluate b at 1 + tanh(2)
     z = 1.0 + np.tanh(2.0)
-    got = eval_truncated_drift(TruncationFamily(base, 1.0), [3.0])
+    got = TruncationFamily(base, 1.0).drift(np.array([3.0]))
     assert got[0] == pytest.approx(z - z**3, rel=1e-12)
     # [DERIVED] clamp saturates at n + 1, so b_n(x) -> b(2) = -6 far out
-    far = eval_truncated_drift(TruncationFamily(base, 1.0), [1e6])
+    far = TruncationFamily(base, 1.0).drift(np.array([1e6]))
     assert far[0] == pytest.approx(2.0 - 8.0, rel=1e-9)
 
 

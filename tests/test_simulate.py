@@ -11,13 +11,15 @@ from malsde.models import (
 from malsde.simulate import (
     NumericalBlowupError,
     TimeGrid,
-    coupled_truncation_pair,
     euler_states,
     moment_estimate,
-    sample_noise,
     sample_noise_block,
-    simulate_chain,
 )
+
+
+def _one_path(g, seed, path_id, dim):
+    """Increments of one path, shape (steps, dim)."""
+    return sample_noise_block(g, seed, path_id, path_id + 1, dim)[0]
 
 
 def test_grid_validation_and_dt():
@@ -32,30 +34,29 @@ def test_grid_validation_and_dt():
 
 def test_noise_determinism_and_block_consistency():
     g = TimeGrid(1.0, 16)
-    n1 = sample_noise(g, 42, 7, 2)
-    n2 = sample_noise(g, 42, 7, 2)
-    assert np.array_equal(n1.increments, n2.increments)
+    n1 = _one_path(g, 42, 7, 2)
+    n2 = _one_path(g, 42, 7, 2)
+    assert np.array_equal(n1, n2)
     block = sample_noise_block(g, 42, 5, 10, 2)
-    assert np.array_equal(block[2], n1.increments)
+    assert np.array_equal(block[2], n1)
 
 
 def test_constant_paths_zero_coefficients():
     m = BrownianModel(dim=1, x0=[1.5], horizon=1.0, sigma0=0.0)
     fam = TruncationFamily(m, 8.0)
     g = TimeGrid(1.0, 32)
-    chain = simulate_chain(fam, g, sample_noise(g, 0, 0, 1))
-    assert np.all(chain.states == 1.5)  # [TRIVIAL]
+    states = euler_states(fam, g.dt, _one_path(g, 0, 0, 1)[None])[0]
+    assert np.all(states == 1.5)  # [TRIVIAL]
 
 
 def test_brownian_telescoping_exact():
     m = BrownianModel(dim=1, x0=[0.25], horizon=1.0, sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
     g = TimeGrid(1.0, 64)
-    noise = sample_noise(g, 3, 11, 1)
-    chain = simulate_chain(fam, g, noise)
+    dW = _one_path(g, 3, 11, 1)
+    states = euler_states(fam, g.dt, dW[None])[0]
     # [TRIVIAL] X_N = x0 + sum of increments up to float summation order
-    assert chain.states[-1, 0] == pytest.approx(
-        0.25 + noise.increments.sum(), rel=1e-14)
+    assert states[-1, 0] == pytest.approx(0.25 + dW.sum(), rel=1e-14)
 
 
 def test_ou_deterministic_euler_recursion():
@@ -64,20 +65,20 @@ def test_ou_deterministic_euler_recursion():
                                mu=[0.0], sigma0=0.0)
     fam = TruncationFamily(m, 8.0)
     g = TimeGrid(1.0, 1000)
-    chain = simulate_chain(fam, g, sample_noise(g, 0, 0, 1))
-    assert chain.states[-1, 0] == pytest.approx((1 - g.dt) ** 1000, rel=1e-13)
-    assert chain.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-3)
+    states = euler_states(fam, g.dt, _one_path(g, 0, 0, 1)[None])[0]
+    assert states[-1, 0] == pytest.approx((1 - g.dt) ** 1000, rel=1e-13)
+    assert states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
 
 def test_chain_replay_bitwise(dw1):
     fam = TruncationFamily(dw1, 4.0)
     g = TimeGrid(1.0, 32)
-    noise = sample_noise(g, 9, 2, 1)
-    chain = simulate_chain(fam, g, noise)
+    dW = _one_path(g, 9, 2, 1)
+    states = euler_states(fam, g.dt, dW[None])[0]
     for k in range(g.steps):
-        xk = chain.states[k]
-        step = fam.drift(xk) * g.dt + fam.diffusion(xk) @ noise.increments[k]
-        assert np.array_equal(xk + step, chain.states[k + 1])
+        xk = states[k]
+        step = fam.drift(xk) * g.dt + fam.diffusion(xk) @ dW[k]
+        assert np.array_equal(xk + step, states[k + 1])
 
 
 def test_brownian_terminal_law_ks():
@@ -100,14 +101,15 @@ def test_blowup_reports_step():
     m = _Explode(x0=[1.0], horizon=1.0, sigma0=1.0)
     g = TimeGrid(1.0, 4)
     with pytest.raises(NumericalBlowupError, match="step"):
-        simulate_chain(m, g, sample_noise(g, 0, 0, 1))
+        euler_states(m, g.dt, _one_path(g, 0, 0, 1)[None])
 
 
 def test_coupled_pair_identical_levels_bitwise(dw1):
     g = TimeGrid(1.0, 32)
-    noise = sample_noise(g, 5, 0, 1)
-    _, _, dist = coupled_truncation_pair(dw1, 4.0, 4.0, g, noise)
-    assert dist == 0.0
+    dW = _one_path(g, 5, 0, 1)[None]
+    X1 = euler_states(TruncationFamily(dw1, 4.0), g.dt, dW)
+    X2 = euler_states(TruncationFamily(dw1, 4.0), g.dt, dW)
+    assert np.max(np.linalg.norm(X1 - X2, axis=-1)) == 0.0
 
 
 def test_coupled_pair_zero_inside_ball(dw1):
@@ -120,12 +122,6 @@ def test_coupled_pair_zero_inside_ball(dw1):
     d = np.max(np.linalg.norm(X1 - X2, axis=-1), axis=1)
     # [DERIVED] exit fraction for the double-well defaults is <= 1e-3
     assert np.mean(d > 0) <= 1e-3
-
-
-def test_coupled_pair_order_validation(dw1):
-    g = TimeGrid(1.0, 8)
-    with pytest.raises(ValueError):
-        coupled_truncation_pair(dw1, 8.0, 4.0, g, sample_noise(g, 0, 0, 1))
 
 
 def test_moment_estimate_constant_and_brownian():

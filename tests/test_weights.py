@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from malsde.malliavin import (
-    DegenerateCovarianceError,
-    ibp_weight_first,
-    ibp_weight_iterated,
+    _inner_pairing,
+    chain_batch,
     quadrature_oracle,
     weight_alpha,
 )
@@ -14,16 +13,16 @@ from malsde.models import (
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
-from malsde.simulate import TimeGrid, sample_noise, sample_noise_block, simulate_chain
+from malsde.simulate import TimeGrid, sample_noise_block
 
 COS = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
 
-def _fam_chain(model, level, steps, seed=0, path=0):
+def _path(model, level, steps, seed=0, path=0):
+    """Family, grid and the (1, steps, dim) increments of one path."""
     fam = TruncationFamily(model, level)
     grid = TimeGrid(model.horizon, steps)
-    noise = sample_noise(grid, seed, path, model.dim)
-    return fam, grid, noise, simulate_chain(fam, grid, noise)
+    return fam, grid, sample_noise_block(grid, seed, path, path + 1, model.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -34,18 +33,18 @@ def _fam_chain(model, level, steps, seed=0, path=0):
 def test_brownian_first_weight_closed_form(sigma):
     # [DERIVED] H_{(1)} = W_T / (sigma T) exactly, path by path
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=sigma)
-    fam, grid, noise, chain = _fam_chain(m, 50.0, 32, seed=4)
-    got = ibp_weight_first(chain, fam, 0).value
-    wt = float(noise.increments.sum())
+    fam, grid, dW = _path(m, 50.0, 32, seed=4)
+    got = weight_alpha(fam, grid.dt, dW, (0,))[0][0]
+    wt = float(dW.sum())
     assert got == pytest.approx(wt / (sigma * grid.horizon), rel=1e-12)
 
 
 def test_brownian_iterated_weight_closed_form():
     # [DERIVED] H_{(1,1)} = (W_T^2 - T) / T^2 for sigma = 1
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
-    fam, grid, noise, chain = _fam_chain(m, 50.0, 32, seed=8)
-    got = ibp_weight_iterated(chain, fam, (0, 0)).value
-    wt = float(noise.increments.sum())
+    fam, grid, dW = _path(m, 50.0, 32, seed=8)
+    got = weight_alpha(fam, grid.dt, dW, (0, 0))[0][0]
+    wt = float(dW.sum())
     T = grid.horizon
     assert got == pytest.approx((wt * wt - T) / (T * T), rel=1e-11, abs=1e-12)
 
@@ -66,47 +65,48 @@ def test_weight_mean_zero_linear_model(alpha):
 
 def test_weight_order_cap():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
-    fam, grid, noise, chain = _fam_chain(m, 50.0, 8)
+    fam, grid, dW = _path(m, 50.0, 8)
     with pytest.raises(ValueError):
-        ibp_weight_iterated(chain, fam, (0, 0, 0))
-    with pytest.raises(ValueError):
-        weight_alpha(fam, grid.dt, noise.increments[None], (0, 0, 0))
+        weight_alpha(fam, grid.dt, dW, (0, 0, 0))
 
 
 def test_weight_degenerate_covariance():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=0.0)
-    fam, grid, noise, chain = _fam_chain(m, 8.0, 8)
-    with pytest.raises(DegenerateCovarianceError):
-        ibp_weight_first(chain, fam, 0)
+    fam, grid, dW = _path(m, 8.0, 8)
+    _, ch = weight_alpha(fam, grid.dt, dW, (0,))
+    assert ch.degenerate[0]
 
 
 # ---------------------------------------------------------------------------
-# Increment derivatives of the first-order weight
+# Inner pairings <D H_(i), DX^j> of the order-2 weights
 # ---------------------------------------------------------------------------
 
-def test_weight_increment_derivatives_match_fd(dw1):
-    fam, grid, noise, chain = _fam_chain(dw1, 4.0, 8, seed=2)
-    wv = ibp_weight_first(chain, fam, 0, with_increment_derivatives=True)
-    assert wv.increment_derivatives.shape == (grid.steps, 1)
-    h = 1e-6
-    for k in (0, 3, 7):
-        dp = noise.increments.copy()
-        dm = noise.increments.copy()
-        dp[k, 0] += h
-        dm[k, 0] -= h
-        hp, _ = weight_alpha(fam, grid.dt, dp[None], (0,))
-        hm, _ = weight_alpha(fam, grid.dt, dm[None], (0,))
-        fd = float(np.real(hp[0] - hm[0])) / (2 * h)
-        ref = wv.increment_derivatives[k, 0]
-        assert abs(fd - ref) / max(abs(ref), 1e-8) <= 1e-6  # [DERIVED]
+@pytest.mark.parametrize("which", ["dw1", "dw2"])
+def test_inner_pairing_matches_fd(which, dw1, dw2):
+    # [DERIVED] the complex-step pairing is the derivative of H_(i) along
+    # v = dt G[:, :, j, :]; central differences agree to relative error 1e-6
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    fam, grid, dW = _path(model, 4.0, 8, seed=2)
+    ch = chain_batch(fam, grid.dt, dW)
+    h = 1e-4
+    for i in range(model.dim):
+        pair = _inner_pairing(fam, ch, i)
+        for j in range(model.dim):
+            v = grid.dt * ch.G[:, :, j, :]
+            hp, _ = weight_alpha(fam, grid.dt, dW + h * v, (i,))
+            hm, _ = weight_alpha(fam, grid.dt, dW - h * v, (i,))
+            fd = float(hp[0] - hm[0]) / (2 * h)
+            ref = float(pair[0, j].real)
+            assert abs(fd - ref) / max(abs(ref), 1e-8) <= 1e-6
 
 
-def test_brownian_increment_derivatives_constant():
-    # [DERIVED] H = W_T / T so D_k H = 1 / T for every k
+def test_brownian_inner_pairing_is_one():
+    # [DERIVED] H = W_T / (sigma T), so D_k H = 1 / (sigma T); with G_k = sigma
+    # the pairing dt sum_k D_k H G_k is exactly 1
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
-    fam, grid, noise, chain = _fam_chain(m, 50.0, 8)
-    wv = ibp_weight_first(chain, fam, 0, with_increment_derivatives=True)
-    assert np.allclose(wv.increment_derivatives, 1.0, rtol=1e-11)
+    fam, grid, dW = _path(m, 50.0, 8)
+    pair = _inner_pairing(fam, chain_batch(fam, grid.dt, dW), 0)
+    assert np.allclose(pair.real, 1.0, rtol=1e-11)
 
 
 # ---------------------------------------------------------------------------
