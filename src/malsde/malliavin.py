@@ -14,8 +14,9 @@ weights:
   * the diagonal second-derivative sum (the divergence trace term) collapses
     to sum_m Lambda_m(S_m) with S_{m+1} = A_m S_m A_m^T + sigma sigma^T;
   * derivatives of Q entering the weight appear only contracted against the
-    rows of G, i.e. as d directional derivatives, propagated by an analytic
-    tangent (JVP) pass.
+    rows of G, i.e. as d directional derivatives; since Q = dt S_N they come
+    from one forward tangent-linear pass of the S recursion, with no stored
+    per-step tangents and no backward pass.
 Iterated weights (|alpha| = 2) additionally need directional derivatives of
 the inner weight; these are obtained by complex-step differentiation through
 the (everywhere complex-analytic) first-order pipeline.
@@ -116,8 +117,8 @@ def chain_batch(model, dt, dW, want_weight_terms=True) -> ChainBatch:
     ch = ChainBatch(dt=dt, dW=dW, X=X, sig=sig, A=A, E=E, Js=Js, P=P, G=G,
                     Q=Q, det_q=det_q, Qinv=Qinv, degenerate=degenerate)
     if want_weight_terms:
-        ch.delta = _row_divergences(ch)
-        ch.gamma = _cov_row_derivatives(ch)
+        ch.delta, S = _row_divergences(ch)
+        ch.gamma = _cov_row_derivatives(ch, S)
     return ch
 
 
@@ -127,6 +128,7 @@ def _row_divergences(ch: ChainBatch):
     The trace part is sum_m Lambda_m(S_m): S_m = sum_{k<m} D_kX_m (D_kX_m)^T
     satisfies S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T, and
     Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.
+    Returns (delta, S) with S (B,N,d,d) holding S_0..S_{N-1}.
     """
     B, N, d = ch.dW.shape
     S = np.zeros((B, d, d), dtype=ch.dW.dtype)
@@ -137,45 +139,33 @@ def _row_divergences(ch: ChainBatch):
         S = AS @ np.swapaxes(ch.A[:, m], -1, -2) + ch.sig[:, m] @ np.swapaxes(ch.sig[:, m], -1, -2)
     diag2 = np.einsum("bmjq,bmqrp,bmrp->bj", ch.P[:, 1:], ch.E, S_all)
     ito = np.einsum("bkja,bka->bj", ch.G, ch.dW)
-    return ito - ch.dt * diag2
+    return ito - ch.dt * diag2, S_all
 
 
-def _cov_row_derivatives(ch: ChainBatch):
+def _cov_row_derivatives(ch: ChainBatch, S_all):
     """gamma[b,j] = directional derivative of Q along v^j_{k,a} = dt G[b,k,j,a].
 
-    One analytic tangent pass, vectorized over the d directions.
+    Q = dt S_N, so gamma[b,j] = dt tS_N with tS the tangent of the S
+    recursion along v^j, given S_0..S_{N-1} (`_row_divergences`).  One
+    forward pass carries tS and the state tangent tX for all d directions:
+      tA = E.tX + Js.v_m,  tsig = Js.tX,  M = tA S_m A^T + tsig sig^T,
+      tS_{m+1} = A tS A^T + M + M^T,  tX_{m+1} = A tX + sig v_m.
     """
     B, N, d = ch.dW.shape
-    V = ch.dt * np.transpose(ch.G, (0, 2, 1, 3))  # (B, j, k, a)
-    tX = np.zeros((B, d, d), dtype=ch.dW.dtype)   # (B, j, i)
-    tA = np.empty((B, d, N, d, d), dtype=ch.dW.dtype)
-    tsig = np.empty((B, d, N, d, d), dtype=ch.dW.dtype)
+    tX = np.zeros((B, d, d), dtype=ch.dW.dtype)     # (B, j, i)
+    tS = np.zeros((B, d, d, d), dtype=ch.dW.dtype)  # (B, j, i, q)
     for m in range(N):
-        tsig[:, :, m] = np.einsum("bilp,bjp->bjil", ch.Js[:, m], tX)
-        tA[:, :, m] = (
-            np.einsum("bipq,bjq->bjip", ch.E[:, m], tX)
-            + np.einsum("bilp,bjl->bjip", ch.Js[:, m], V[:, :, m])
-        )
-        tX = (
-            np.einsum("bip,bjp->bji", ch.A[:, m], tX)
-            + np.einsum("bil,bjl->bji", ch.sig[:, m], V[:, :, m])
-        )
-    tQ = np.zeros((B, d, d, d), dtype=ch.dW.dtype)
-    tP = np.zeros((B, d, d, d), dtype=ch.dW.dtype)  # tP_{k+1}, starts at tP_N = 0
-    for k in range(N - 1, -1, -1):
-        tG = (
-            np.einsum("bjip,bpl->bjil", tP, ch.sig[:, k])
-            + np.einsum("bip,bjpl->bjil", ch.P[:, k + 1], tsig[:, :, k])
-        )
-        tQ += (
-            np.einsum("bjia,bqa->bjiq", tG, ch.G[:, k])
-            + np.einsum("bia,bjqa->bjiq", ch.G[:, k], tG)
-        )
-        tP = (
-            np.einsum("bjip,bpq->bjiq", tP, ch.A[:, k])
-            + np.einsum("bip,bjpq->bjiq", ch.P[:, k + 1], tA[:, :, k])
-        )
-    return ch.dt * tQ
+        A, sig, Js = ch.A[:, m], ch.sig[:, m], ch.Js[:, m]
+        v = ch.dt * ch.G[:, m]                       # (B, j, a)
+        tA = (np.einsum("bipq,bjq->bjip", ch.E[:, m], tX)
+              + np.einsum("bilp,bjl->bjip", Js, v))
+        tsig = np.einsum("bilp,bjp->bjil", Js, tX)
+        M = (np.einsum("bjip,bpr,bqr->bjiq", tA, S_all[:, m], A, optimize=True)
+             + np.einsum("bjil,bql->bjiq", tsig, sig))
+        tS = (np.einsum("bip,bjpq,brq->bjir", A, tS, A, optimize=True)
+              + M + np.swapaxes(M, -1, -2))
+        tX = np.einsum("bip,bjp->bji", A, tX) + np.einsum("bil,bjl->bji", sig, v)
+    return ch.dt * tS
 
 
 # ---------------------------------------------------------------------------

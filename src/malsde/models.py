@@ -169,7 +169,7 @@ class DoubleWell1DModel(SdeModel):
 
     def drift(self, x):
         x = np.asarray(x)
-        return x - x ** 3
+        return x - x * x * x
 
     def drift_jac(self, x):
         x = np.asarray(x)
@@ -193,7 +193,7 @@ class DoubleWell2DModel(SdeModel):
 
     def drift(self, x):
         x = np.asarray(x)
-        return x - x ** 3
+        return x - x * x * x
 
     def drift_jac(self, x):
         x = np.asarray(x)

@@ -192,11 +192,9 @@ def test_second_chain_fd_2d(dw2):
 # Engine reductions vs the full second-derivative tensor
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("which", ["dw1", "dw2"])
-def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
-    model = {"dw1": dw1, "dw2": dw2}[which]
-    fam, grid, dW = _path(model, 4.0, 12, seed=6)
-    N, d = grid.steps, model.dim
+def _check_reductions(fam, grid, dW):
+    """delta and gamma of chain_batch against the O(N^2) reference; returns X."""
+    N, d = dW.shape
     ch = chain_batch(fam, grid.dt, dW[None])
     sd = second_derivative_chain(fam, grid.dt, dW)
     G = ch.G[0]
@@ -212,6 +210,39 @@ def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
             for j in range(d):
                 gamma_full[j] += grid.dt * dq * G[k, j, b]
     assert np.allclose(gamma_full, ch.gamma[0], rtol=1e-12, atol=1e-13)
+    return ch.X[0]
+
+
+@pytest.mark.parametrize("which", ["dw1", "dw2"])
+def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    _check_reductions(*_path(model, 4.0, 12, seed=6))
+
+
+@pytest.mark.parametrize("which", ["dw1", "dw2"])
+def test_reductions_on_a_path_that_leaves_the_ball(which, dw1, dw2):
+    # the clamp branch of E (K2 terms) feeds tA only outside the ball
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    X = _check_reductions(*_path(model, 0.5, 12, seed=6))
+    assert np.any(np.linalg.norm(X, axis=-1) > 0.5)
+
+
+@pytest.mark.parametrize("which,level", [("dw1", 1.0), ("dw2", 1.5)])
+def test_cov_derivative_is_complex_step_of_q(which, level, dw1, dw2):
+    # gamma[:, j] is the derivative of Q along dt G[:, :, j, :]; a complex
+    # step through the flow alone gives it with no subtractive error
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    fam = TruncationFamily(model, level)
+    grid = TimeGrid(model.horizon, 16)
+    dW = sample_noise_block(grid, 8, 0, 200, model.dim)
+    ch = chain_batch(fam, grid.dt, dW)
+    assert np.any(np.linalg.norm(ch.X, axis=-1) > level)
+    for j in range(model.dim):
+        step = (1j * 1e-100 * grid.dt) * ch.G[:, :, j, :]
+        cs = chain_batch(fam, grid.dt, dW + step, want_weight_terms=False).Q.imag / 1e-100
+        err = np.max(np.abs(cs - ch.gamma[:, j]), axis=(1, 2))
+        scale = np.max(np.abs(ch.gamma[:, j]), axis=(1, 2))
+        assert np.all(err <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("step", [0.0, 1e-100])
