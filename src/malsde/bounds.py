@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .malliavin import DegenerateCovarianceError, chain_batch
+from .malliavin import DegenerateCovarianceError, flow
 from .models import TruncationFamily, generator_apply
 from .parallel import map_chunks
 from .simulate import TimeGrid, euler_states, sample_noise_block
@@ -235,10 +235,14 @@ def tail_check(fam, grid: TimeGrid, n_paths: int, y_offsets, fit: GeneratorFit,
     return reports
 
 
-def _dnorm_chunk(fam, grid, seed, p_list, lo, hi):
+def _cov_paths(fam, grid, seed, lo, hi):
+    """Q(t_k) = dt S_k of paths lo..hi-1 at every grid time, (paths, N+1, d, d)."""
     dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
-    h2 = grid.dt * np.sum(ch.G ** 2, axis=(1, 2, 3))
+    return grid.dt * flow(fam, grid.dt, dW)[-1]
+
+
+def _dnorm_chunk(fam, grid, seed, p_list, lo, hi):
+    h2 = np.trace(_cov_paths(fam, grid, seed, lo, hi)[:, -1], axis1=-2, axis2=-1)
     vs = [h2 ** (p / 2) for p in p_list]
     return np.array([[v.sum(), (v * v).sum(), len(v)] for v in vs]).reshape(-1, 3)
 
@@ -262,9 +266,10 @@ def _spread_report(check, values, extra) -> BoundReport:
 
 def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
                 seed=0, chunk=16384, workers=1) -> list[BoundReport]:
-    """Uniformity in n of E[(sum_k dt |G_k|^2)^(p/2)] at t = T, p in {2, 4}.
+    """Uniformity in n of E[(tr Q_T)^(p/2)] at t = T, p in {2, 4}; tr Q_T =
+    sum_k dt |G_k|_F^2 is the squared norm of the Malliavin derivative.
 
-    One chain pass per level serves every p.  One report per p, in p_list
+    One `flow` pass per level serves every p.  One report per p, in p_list
     order; each passes iff its spread across truncation levels is <= 10%.
     """
     p_list = list(p_list)
@@ -281,33 +286,31 @@ def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
             for i, p in enumerate(p_list)]
 
 
-def _covq_chunk(fam, grid, seed, lo, hi):
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
-    q2 = np.sum(ch.Q ** 2, axis=(1, 2))
-    return np.array([q2.sum(), len(q2)])
+def _covq_chunk(fam, grid, seed, ks, lo, hi):
+    Q = _cov_paths(fam, grid, seed, lo, hi)
+    return np.array([np.sum(Q[:, k] ** 2, axis=(1, 2)).sum() for k in ks] + [len(Q)])
 
 
 def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int,
                       time_fractions=(0.25, 0.5, 1.0), seed=0, chunk=16384,
                       workers=1) -> BoundReport:
-    """E[|Q_n(t)|_F^2] across truncation levels and grid times.
+    """E[|Q_n(t)|_F^2] across truncation levels n and grid times t = k dt,
+    k = max(1, round(N frac)) for each time fraction.
 
-    All values must be finite; the spread across n at each time must be
-    <= 10%.  The report's lhs is the worst spread; constants carry the table.
+    One `flow` pass per level gives Q(t_k) = dt S_k at every k.  All values
+    must be finite; the spread across n at each time must be <= 10%.  The
+    report's lhs is the worst spread; constants carry the table.
     """
+    ks = [max(1, round(grid.steps * frac)) for frac in time_fractions]
+    sums = []
+    for n in levels:
+        task = functools.partial(_covq_chunk, TruncationFamily(base, n), grid, seed, ks)
+        sums.append(np.sum(map_chunks(task, n_paths, chunk, workers), axis=0))
     table = {}
     spreads = []
-    for frac in time_fractions:
-        steps = max(1, round(grid.steps * frac))
-        sub = TimeGrid(grid.dt * steps, steps)
-        vals = []
-        for n in levels:
-            fam = TruncationFamily(base, n)
-            task = functools.partial(_covq_chunk, fam, sub, seed)
-            s = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0)
-            vals.append(s[0] / s[1])
-        table[f"t={sub.horizon:g}"] = [float(v) for v in vals]
+    for i, k in enumerate(ks):
+        vals = [s[i] / s[-1] for s in sums]
+        table[f"t={grid.dt * k:g}"] = [float(v) for v in vals]
         spreads.append(_spread(vals, "covariance moment"))
     lhs = max(spreads)
     return BoundReport(check="covQ", lhs=lhs, se=0.0, rhs=SPREAD_LIMIT,
@@ -328,9 +331,7 @@ class InvCovScaling:
 
 
 def _logdet_chunk(fam, grid, seed, lo, hi):
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
-    sign, ld = np.linalg.slogdet(ch.Q)
+    sign, ld = np.linalg.slogdet(_cov_paths(fam, grid, seed, lo, hi)[:, -1])
     if np.any(sign <= 0):
         raise DegenerateCovarianceError(
             "nonpositive covariance determinant encountered")

@@ -300,7 +300,7 @@ def _alpha_tag(alpha) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg, outdir: Path) -> int:
+def cmd_simulate(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     p_list = cfg["simulate"]["p_list"]
     estimates = moment_estimate(fam, grid, p_list, cfg["paths"], cfg["seed"],
@@ -316,7 +316,7 @@ def _is_linear(model) -> bool:
     return isinstance(model, (BrownianModel, OrnsteinUhlenbeckModel))
 
 
-def cmd_density(cfg, outdir: Path) -> int:
+def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     dcfg = cfg["density"]
     ys = np.asarray(dcfg["y_grid"], dtype=float)
@@ -376,7 +376,7 @@ def cmd_density(cfg, outdir: Path) -> int:
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), [f]
 
 
-def cmd_bounds(cfg, outdir: Path) -> int:
+def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     bcfg = cfg["bounds"]
     seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
@@ -429,7 +429,7 @@ _ORACLE_FUNCS = {
 }
 
 
-def cmd_oracle(cfg, outdir: Path) -> int:
+def cmd_oracle(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     ocfg = cfg["oracle"]
     rows = []
@@ -450,7 +450,7 @@ def cmd_oracle(cfg, outdir: Path) -> int:
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), [f]
 
 
-def cmd_converge(cfg, outdir: Path) -> int:
+def cmd_converge(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     ccfg = cfg["converge"]
     seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]

@@ -6,13 +6,14 @@ divergences and the integration-by-parts weights are all computed as exact
 finite-dimensional objects.  The IBP identity
 E[d_alpha g(X_N) G] = E[g(X_N) H_alpha] then holds exactly at every N.
 
-`chain_batch` and `weights_from_chain` work on (paths, steps, dim) batches;
-a single path is a batch of one.  Per-path cost is O(N d^3) for first-order
-weights:
+`flow`, `chain_batch` and `weights_from_chain` work on (paths, steps, dim)
+batches; a single path is a batch of one.  Per-path cost is O(N d^3) for
+first-order weights:
   * G_k = P_{k+1} sigma(X_k) with P the suffix product of the step Jacobians
     A_m = I + grad b dt + grad sigma dW_m;
-  * the diagonal second-derivative sum (the divergence trace term) collapses
-    to sum_m Lambda_m(S_m) with S_{m+1} = A_m S_m A_m^T + sigma sigma^T;
+  * `flow` runs S_{m+1} = A_m S_m A_m^T + sigma sigma^T, so Q(t_k) = dt S_k
+    and Q = dt S_N; the diagonal second-derivative sum (the divergence trace
+    term) collapses to sum_m Lambda_m(S_m);
   * derivatives of Q entering the weight appear only contracted against the
     rows of G, i.e. as d directional derivatives; since Q = dt S_N they come
     from one forward tangent-linear pass of the S recursion, with no stored
@@ -24,7 +25,7 @@ the (everywhere complex-analytic) first-order pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +50,9 @@ class ChainBatch:
     """All per-path quantities needed by the weight formulas.
 
     Shapes (B = paths, N = steps, d = dim):
-      X (B,N+1,d), sig/A (B,N,d,d), E (B,N,d,d,d) or None without weight
-      terms, P (B,N+1,d,d),
+      X (B,N+1,d), sig/A (B,N,d,d), E (B,N,d,d,d), P (B,N+1,d,d),
       G (B,N,d,d) with G[b,k,i,a] = dX_N^i / dW_k^a,
-      Q/Qinv (B,d,d), det_q (B,), delta (B,d) = divergence of row j of DX,
+      Q = dt S_N and Qinv (B,d,d), det_q (B,), delta (B,d) = divergence of row j of DX,
       gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a].
     """
 
@@ -61,7 +61,7 @@ class ChainBatch:
     X: np.ndarray
     sig: np.ndarray
     A: np.ndarray
-    E: np.ndarray | None
+    E: np.ndarray
     Js: np.ndarray
     P: np.ndarray
     G: np.ndarray
@@ -69,8 +69,26 @@ class ChainBatch:
     det_q: np.ndarray
     Qinv: np.ndarray
     degenerate: np.ndarray
-    delta: np.ndarray | None = None
-    gamma: np.ndarray | None = None
+    delta: np.ndarray = field(init=False)
+    gamma: np.ndarray = field(init=False)
+
+
+def flow(model, dt, dW):
+    """(X, sig, Js, A, S) of a batch dW (B,N,d): Euler states, sigma, grad sigma
+    and the step Jacobians A_m, and S (B,N+1,d,d) from S_0 = 0,
+    S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T, so Q(t_k) = dt S_k."""
+    dW = np.asarray(dW)
+    B, N, d = dW.shape
+    X = euler_states(model, dt, dW)
+    Xk = X[:, :-1, :]
+    sig = model.diffusion(Xk)
+    Js = model.diffusion_jac(Xk)
+    A = np.eye(d, dtype=dW.dtype) + model.drift_jac(Xk) * dt + np.einsum("bnilp,bnl->bnip", Js, dW)
+    S = np.zeros((B, N + 1, d, d), dtype=dW.dtype)
+    for m in range(N):
+        AS = A[:, m] @ S[:, m]
+        S[:, m + 1] = AS @ np.swapaxes(A[:, m], -1, -2) + sig[:, m] @ np.swapaxes(sig[:, m], -1, -2)
+    return X, sig, Js, A, S
 
 
 def _suffix_products(A):
@@ -82,72 +100,53 @@ def _suffix_products(A):
     return P
 
 
-def chain_batch(model, dt, dW, want_weight_terms=True) -> ChainBatch:
-    """Forward/backward passes producing every ChainBatch field.
+def chain_batch(model, dt, dW) -> ChainBatch:
+    """Every ChainBatch field from one `flow` pass and one suffix product.
 
-    Without weight terms only the flow (G, Q, Qinv) is built: no second
-    derivatives of the model are evaluated and E, delta, gamma stay None.
     Accepts complex dW; every operation is complex-analytic so the whole
     object supports complex-step differentiation.
     """
     dW = np.asarray(dW)
-    B, N, d = dW.shape
-    X = euler_states(model, dt, dW)
+    X, sig, Js, A, S = flow(model, dt, dW)
     Xk = X[:, :-1, :]
-    sig = model.diffusion(Xk)
-    Jb = model.drift_jac(Xk)
-    Js = model.diffusion_jac(Xk)
-    eye = np.eye(d, dtype=dW.dtype)
-    A = eye + Jb * dt + np.einsum("bnilp,bnl->bnip", Js, dW)
-    E = None
-    if want_weight_terms:
-        # E[b,n,i,p,q] = d(A_n)_{ip} / dX_n^q
-        E = (model.drift_hess(Xk) * dt
-             + np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW))
+    # E[b,n,i,p,q] = d(A_n)_{ip} / dX_n^q
+    E = (model.drift_hess(Xk) * dt
+         + np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW))
     P = _suffix_products(A)
     G = np.einsum("bnij,bnjl->bnil", P[:, 1:], sig)
-    Q = dt * np.einsum("bkia,bkja->bij", G, G)
+    Q = dt * S[:, -1]
 
     det_q = np.linalg.det(Q)
     diag_prod = np.prod(np.real(np.diagonal(Q, axis1=-2, axis2=-1)), axis=-1)
     degenerate = ~(np.real(det_q) > DET_Q_RTOL * diag_prod)
-    Q_safe = np.where(degenerate[:, None, None], eye, Q)
+    Q_safe = np.where(degenerate[:, None, None], np.eye(dW.shape[-1], dtype=dW.dtype), Q)
     Qinv = np.linalg.inv(Q_safe)
 
     ch = ChainBatch(dt=dt, dW=dW, X=X, sig=sig, A=A, E=E, Js=Js, P=P, G=G,
                     Q=Q, det_q=det_q, Qinv=Qinv, degenerate=degenerate)
-    if want_weight_terms:
-        ch.delta, S = _row_divergences(ch)
-        ch.gamma = _cov_row_derivatives(ch, S)
+    ch.delta = _row_divergences(ch, S)
+    ch.gamma = _cov_row_derivatives(ch, S)
     return ch
 
 
-def _row_divergences(ch: ChainBatch):
+def _row_divergences(ch: ChainBatch, S):
     """delta_j = sum_k G[k,j,:].dW_k - dt * sum_{k,a} D_k^a G[k,j,a].
 
-    The trace part is sum_m Lambda_m(S_m): S_m = sum_{k<m} D_kX_m (D_kX_m)^T
-    satisfies S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T, and
+    The trace part is sum_m Lambda_m(S_m) with S from `flow`
+    (S_m = sum_{k<m} D_kX_m (D_kX_m)^T) and
     Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.
-    Returns (delta, S) with S (B,N,d,d) holding S_0..S_{N-1}.
     """
-    B, N, d = ch.dW.shape
-    S = np.zeros((B, d, d), dtype=ch.dW.dtype)
-    S_all = np.empty((B, N, d, d), dtype=ch.dW.dtype)
-    for m in range(N):
-        S_all[:, m] = S
-        AS = ch.A[:, m] @ S
-        S = AS @ np.swapaxes(ch.A[:, m], -1, -2) + ch.sig[:, m] @ np.swapaxes(ch.sig[:, m], -1, -2)
-    diag2 = np.einsum("bmjq,bmqrp,bmrp->bj", ch.P[:, 1:], ch.E, S_all)
+    diag2 = np.einsum("bmjq,bmqrp,bmrp->bj", ch.P[:, 1:], ch.E, S[:, :-1])
     ito = np.einsum("bkja,bka->bj", ch.G, ch.dW)
-    return ito - ch.dt * diag2, S_all
+    return ito - ch.dt * diag2
 
 
-def _cov_row_derivatives(ch: ChainBatch, S_all):
+def _cov_row_derivatives(ch: ChainBatch, S):
     """gamma[b,j] = directional derivative of Q along v^j_{k,a} = dt G[b,k,j,a].
 
     Q = dt S_N, so gamma[b,j] = dt tS_N with tS the tangent of the S
-    recursion along v^j, given S_0..S_{N-1} (`_row_divergences`).  One
-    forward pass carries tS and the state tangent tX for all d directions:
+    recursion along v^j, given S from `flow`.  One forward pass carries tS
+    and the state tangent tX for all d directions:
       tA = E.tX + Js.v_m,  tsig = Js.tX,  M = tA S_m A^T + tsig sig^T,
       tS_{m+1} = A tS A^T + M + M^T,  tX_{m+1} = A tX + sig v_m.
     """
@@ -160,7 +159,7 @@ def _cov_row_derivatives(ch: ChainBatch, S_all):
         tA = (np.einsum("bipq,bjq->bjip", ch.E[:, m], tX)
               + np.einsum("bilp,bjl->bjip", Js, v))
         tsig = np.einsum("bilp,bjp->bjil", Js, tX)
-        M = (np.einsum("bjip,bpr,bqr->bjiq", tA, S_all[:, m], A, optimize=True)
+        M = (np.einsum("bjip,bpr,bqr->bjiq", tA, S[:, m], A, optimize=True)
              + np.einsum("bjil,bql->bjiq", tsig, sig))
         tS = (np.einsum("bip,bjpq,brq->bjir", A, tS, A, optimize=True)
               + M + np.swapaxes(M, -1, -2))

@@ -82,7 +82,7 @@ def test_acceptance_1_gradient_oracle():
             grid = TimeGrid(model.horizon, 64)
             n_pairs = 25
             dW = sample_noise_block(grid, 1, 0, n_pairs, model.dim)
-            ch = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
+            ch = chain_batch(fam, grid.dt, dW)
             h = 1e-5 * np.sqrt(grid.dt)
             for b in range(n_pairs):
                 k = int(rng.integers(0, grid.steps))

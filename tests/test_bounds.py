@@ -150,8 +150,7 @@ def test_dnorm_one_pass_serves_every_p(dw1):
     levels = (1.0, 4.0)
     reps = dnorm_check(dw1, levels, grid, 3000, (2, 4), chunk=1024)
     dW = sample_noise_block(grid, 0, 0, 3000, 1)
-    h2 = [grid.dt * np.sum(chain_batch(TruncationFamily(dw1, n), grid.dt, dW,
-                                       want_weight_terms=False).G ** 2,
+    h2 = [grid.dt * np.sum(chain_batch(TruncationFamily(dw1, n), grid.dt, dW).G ** 2,
                            axis=(1, 2, 3))
           for n in levels]
     assert [rep.constants["p"] for rep in reps] == [2, 4]
@@ -178,6 +177,22 @@ def test_covq_drift_free_time_table():
         t = float(key.split("=")[1])
         # [DERIVED] |Q(t)|_F^2 = t^2 for unit constant diffusion
         assert np.allclose(vals, t * t, rtol=1e-12)
+
+
+def test_covq_times_are_prefixes_of_one_pass(dw1):
+    # Q(t_k) from one full-horizon pass equals Q_T of a k-step run on the
+    # same seed: the noise of the shorter grid is a prefix of the full one
+    grid = TimeGrid(1.0, 16)
+    levels = (1.0, 4.0)
+    rep = covQ_moment_check(dw1, levels, grid, 2000)
+    for k in (4, 8, 16):
+        sub = TimeGrid(k * grid.dt, k)
+        dW = sample_noise_block(sub, 0, 0, 2000, 1)
+        chains = [chain_batch(TruncationFamily(dw1, n), sub.dt, dW) for n in levels]
+        expect = [np.mean(np.sum(ch.Q ** 2, axis=(1, 2))) for ch in chains]
+        assert np.allclose(rep.constants["table"][f"t={k * grid.dt:g}"], expect,
+                           rtol=1e-12, atol=0)
+    assert np.any(np.abs(chains[0].X) > 1.0)  # level 1 clamps some paths
 
 
 def test_covq_uniform_in_level_double_well(dw1):

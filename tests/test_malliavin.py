@@ -28,8 +28,8 @@ def _path(model, level, steps, seed=0, path=0):
 
 
 def _flow(fam, grid, dW):
-    """chain_batch for one path, without weight terms."""
-    return chain_batch(fam, grid.dt, dW[None], want_weight_terms=False)
+    """chain_batch for one path."""
+    return chain_batch(fam, grid.dt, dW[None])
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,7 @@ def test_degeneracy_is_scale_free(sigma0, degenerate):
     m = BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=sigma0)
     fam = TruncationFamily(m, 8.0)
     grid = TimeGrid(1.0, 8)
-    ch = chain_batch(fam, grid.dt, sample_noise_block(grid, 0, 0, 10, 2),
-                     want_weight_terms=False)
+    ch = chain_batch(fam, grid.dt, sample_noise_block(grid, 0, 0, 10, 2))
     assert np.all(ch.degenerate == degenerate)
     if not degenerate:
         assert np.allclose(ch.Qinv @ ch.Q, np.eye(2), rtol=0, atol=1e-12)
@@ -239,25 +238,28 @@ def test_cov_derivative_is_complex_step_of_q(which, level, dw1, dw2):
     assert np.any(np.linalg.norm(ch.X, axis=-1) > level)
     for j in range(model.dim):
         step = (1j * 1e-100 * grid.dt) * ch.G[:, :, j, :]
-        cs = chain_batch(fam, grid.dt, dW + step, want_weight_terms=False).Q.imag / 1e-100
+        cs = chain_batch(fam, grid.dt, dW + step).Q.imag / 1e-100
         err = np.max(np.abs(cs - ch.gamma[:, j]), axis=(1, 2))
         scale = np.max(np.abs(ch.gamma[:, j]), axis=(1, 2))
         assert np.all(err <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("step", [0.0, 1e-100])
-def test_chain_without_weight_terms_matches_full_chain(dw2, step):
+def test_q_from_recursion_is_dt_gram_of_g(dw2, step):
+    # Q = dt S_N from the covariance recursion equals dt sum_k G_k G_k^T,
+    # in the real part and in the complex-step part
     fam = TruncationFamily(dw2, 1.5)
     grid = TimeGrid(dw2.horizon, 16)
     dW = sample_noise_block(grid, 3, 0, 200, dw2.dim)
     if step:
         dW = dW + 1j * step * dW[::-1]
-    full = chain_batch(fam, grid.dt, dW)
-    flow = chain_batch(fam, grid.dt, dW, want_weight_terms=False)
-    assert np.any(np.linalg.norm(full.X.real, axis=-1) > 1.5)  # both branches run
-    for name in ("G", "Q", "Qinv", "det_q"):
-        assert np.array_equal(getattr(flow, name), getattr(full, name)), name
-    assert flow.E is None and flow.delta is None and flow.gamma is None
+    ch = chain_batch(fam, grid.dt, dW)
+    assert np.any(np.linalg.norm(ch.X.real, axis=-1) > 1.5)  # both branches run
+    gram = grid.dt * np.einsum("bkia,bkja->bij", ch.G, ch.G)
+    for part in (np.real, np.imag) if step else (np.real,):
+        err = np.max(np.abs(part(ch.Q) - part(gram)), axis=(1, 2))
+        scale = np.max(np.abs(part(gram)), axis=(1, 2))
+        assert np.all(scale > 0) and np.all(err <= 1e-13 * scale), part.__name__
 
 
 # ---------------------------------------------------------------------------
