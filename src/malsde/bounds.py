@@ -264,6 +264,15 @@ def _spread_report(check, values, extra) -> BoundReport:
                        constants=consts)
 
 
+def _distinct_levels(levels) -> list:
+    """The truncation levels as a list; a spread or a difference over fewer
+    than two distinct levels cannot fail, so it is a config error."""
+    levels = list(levels)
+    if len(set(levels)) < 2:
+        raise ValueError(f"need at least two distinct truncation levels, got {levels}")
+    return levels
+
+
 def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
                 seed=0, chunk=16384, workers=1) -> list[BoundReport]:
     """Uniformity in n of E[(tr Q_T)^(p/2)] at t = T, p in {2, 4}; tr Q_T =
@@ -272,6 +281,7 @@ def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
     One `flow` pass per level serves every p.  One report per p, in p_list
     order; each passes iff its spread across truncation levels is <= 10%.
     """
+    levels = _distinct_levels(levels)
     p_list = list(p_list)
     if any(p not in (2, 4) for p in p_list):
         raise ValueError("p must be 2 or 4")
@@ -301,6 +311,7 @@ def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int,
     must be finite; the spread across n at each time must be <= 10%.  The
     report's lhs is the worst spread; constants carry the table.
     """
+    levels = _distinct_levels(levels)
     ks = [max(1, round(grid.steps * frac)) for frac in time_fractions]
     sums = []
     for n in levels:
@@ -386,28 +397,43 @@ def invcov_reference_slopes(dim: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _convergence_chunk(base, levels, grid, seed, p, lo, hi):
-    """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p;
-    one noise draw drives every level, and two levels' states are held at most."""
+    """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p.
+
+    One noise draw drives every level, swept from the top down: one full Euler
+    pass at the highest level, then at each lower level m only the paths whose
+    states X_0..X_{N-1} one level up leave the ball of radius m (the clamp's
+    own mask) are re-run.  b_m = b_n bitwise inside that ball, so every other
+    path is bitwise the same at both levels and adds exactly 0.0 to the sum,
+    as a full pass would.  One state array is held; re-run rows overwrite it.
+    """
     dW = sample_noise_block(grid, seed, lo, hi, base.dim)
-    prev = euler_states(TruncationFamily(base, levels[0]), grid.dt, dW)
+    X = euler_states(TruncationFamily(base, levels[-1]), grid.dt, dW)
     sums = []
-    for n in levels[1:]:
-        X = euler_states(TruncationFamily(base, n), grid.dt, dW)
-        d = np.max(np.linalg.norm(prev - X, axis=-1), axis=1)
+    for m in reversed(levels[:-1]):
+        fam = TruncationFamily(base, m)
+        idx = np.flatnonzero(np.any(fam._outside(X[:, :-1]), axis=1))
+        X_m = euler_states(fam, grid.dt, dW[idx])
+        d = np.zeros(len(X))
+        d[idx] = np.max(np.linalg.norm(X[idx] - X_m, axis=-1), axis=1)
         sums.append(float(np.sum(d ** p)))
-        prev = X
-    return sums
+        X[idx] = X_m
+    return sums[::-1]
 
 
 def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 2,
                            seed=0, chunk=16384, workers=1):
     """E[max_k |X^{n_i} - X^{n_{i+1}}|^p]^(1/p) for consecutive coupled levels.
 
-    Returns a list of (n_lo, n_hi, value) rows, in level order.
+    Each chunk sweeps the levels from the top down and re-simulates at a lower
+    level only the paths that leave its ball (`_convergence_chunk`); the sums
+    are bitwise those of a full Euler pass per level.  Returns a list of
+    (n_lo, n_hi, value) rows, in level order.
     """
-    levels = list(levels)
+    levels = _distinct_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     task = functools.partial(_convergence_chunk, base, levels, grid, seed, p)
     parts = map_chunks(task, n_paths, chunk, workers)
     return [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))

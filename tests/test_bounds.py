@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import malsde.bounds
 from malsde.bounds import (
+    _convergence_chunk,
     covQ_moment_check,
     dnorm_check,
     exp_moment_check,
@@ -16,10 +18,11 @@ from malsde.malliavin import DegenerateCovarianceError, chain_batch
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
+    DoubleWell2DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
-from malsde.simulate import TimeGrid, sample_noise_block
+from malsde.simulate import TimeGrid, euler_states, sample_noise_block
 
 
 def _centered_ou(kappa=1.0):
@@ -257,3 +260,71 @@ def test_truncation_convergence_rows(dw1):
     assert vals[-1] <= 1e-3  # [DERIVED] exits beyond level 4 are rare
     with pytest.raises(ValueError):
         truncation_convergence(base, (4.0, 2.0), grid, 100)
+
+
+def _every_level_sums(base, levels, grid, seed, p, lo, hi):
+    """A full Euler pass per level: the pair sums, and per lower level m the
+    paths whose states X_0..X_{N-1} one level up leave the ball of radius m."""
+    dW = sample_noise_block(grid, seed, lo, hi, base.dim)
+    X = [euler_states(TruncationFamily(base, n), grid.dt, dW) for n in levels]
+    sums = [float(np.sum(np.max(np.linalg.norm(lo_ - hi_, axis=-1), axis=1) ** p))
+            for lo_, hi_ in zip(X, X[1:])]
+    exits = [int(np.count_nonzero(np.any(
+                 np.linalg.norm(hi_[:, :-1], axis=-1) > m, axis=1)))
+             for m, hi_ in zip(levels, X[1:])]
+    return sums, exits
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("case", ["dw1", "dw2"])
+def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
+    if case == "dw1":  # every path, about half, few and none leave
+        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        levels, grid = (0.25, 1.0, 2.0, 8.0), TimeGrid(1.0, 32)
+    else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
+        base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
+        levels, grid = (0.5, 1.5, 4.0), TimeGrid(0.5, 32)
+    n_paths, chunk, seed = 20000, 8192, 11  # chunks of 8192, 8192 and 3616 paths
+    rows = []
+
+    def counted_euler(fam, dt, dW):
+        rows.append(len(dW))
+        return euler_states(fam, dt, dW)
+
+    monkeypatch.setattr(malsde.bounds, "euler_states", counted_euler)
+    ref, all_exits = [], np.zeros(len(levels) - 1, dtype=int)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        sums, exits = _every_level_sums(base, levels, grid, seed, p, lo, hi)
+        rows.clear()
+        assert _convergence_chunk(base, levels, grid, seed, p, lo, hi) == sums
+        # one full pass, then only the paths that leave each smaller ball
+        assert sum(rows) == (hi - lo) + sum(exits)
+        ref.append(sums)
+        all_exits += exits
+    if case == "dw1":
+        assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
+        assert 0 < all_exits[2] < n_paths // 1000
+    else:
+        assert 0 < all_exits[0] < n_paths
+    table = truncation_convergence(base, levels, grid, n_paths, p=p, seed=seed,
+                                   chunk=chunk)
+    assert table == [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))
+                     for n1, n2, col in zip(levels, levels[1:], zip(*ref))]
+
+
+@pytest.mark.parametrize("levels", [(4.0,), (4.0, 4.0)])
+def test_level_checks_need_two_distinct_levels(levels, dw1):
+    grid = TimeGrid(1.0, 8)
+    with pytest.raises(ValueError, match="two distinct"):
+        truncation_convergence(dw1, levels, grid, 100)
+    with pytest.raises(ValueError, match="two distinct"):
+        dnorm_check(dw1, levels, grid, 100, (2,))
+    with pytest.raises(ValueError, match="two distinct"):
+        covQ_moment_check(dw1, levels, grid, 100)
+
+
+@pytest.mark.parametrize("p", [0, -2, 0.5])
+def test_truncation_convergence_rejects_p_below_one(p, dw1):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        truncation_convergence(dw1, (1.0, 2.0), TimeGrid(1.0, 8), 100, p=p)

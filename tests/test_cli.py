@@ -187,3 +187,25 @@ def test_config_file_plus_override(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["paths"] == 400  # --set wins over the file
     assert manifest["config"]["grid"]["steps"] == 8
+
+
+_DW1 = 'model={"id":"double-well-1d","params":{"x0":[0.3],"horizon":1.0,"sigma0":0.8}}'
+
+
+@pytest.mark.parametrize("override", ["converge.p=0", "converge.p=-2",
+                                      "converge.levels=[4.0]"])
+def test_exit_code_converge_invalid_config(tmp_path, override):
+    code = _run(["converge", "--out", tmp_path, "--set", _DW1,
+                 "--set", "paths=200", "--set", "grid.steps=8",
+                 "--set", override])
+    assert code == 2
+    assert not (tmp_path / "converge.csv").exists()
+
+
+def test_exit_code_bounds_single_truncation_level(tmp_path):
+    # a spread over one level is 0 and cannot fail
+    code = _run(["bounds", "--out", tmp_path, "--set", _DW1,
+                 "--set", "paths=500", "--set", "grid.steps=8",
+                 "--set", "truncation_levels=[4.0]"])
+    assert code == 2
+    assert not (tmp_path / "bounds.csv").exists()
