@@ -171,37 +171,41 @@ class BoundReport:
         return bool(self.lhs <= self.rhs + 3 * self.se)
 
 
-def _sup_exponent_chunk(fam, grid, seed, zeta, eta, lo, hi):
+def _sup_exponent_chunk(fam, grid, seed, zetas, etas, lo, hi):
     dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
     X = euler_states(fam, grid.dt, dW)
     x0 = np.asarray(fam.x0, dtype=float)
     r2 = np.sum((X - x0) ** 2, axis=-1)
-    damp = np.exp(-eta * grid.times)
-    return zeta * np.max(damp * r2, axis=1)
+    return np.array([zeta * np.max(np.exp(-eta * grid.times) * r2, axis=1)
+                     for zeta, eta in zip(zetas, etas)])
 
 
-def exp_moment_check(fam, grid: TimeGrid, n_paths: int, zeta: float,
-                     fit: GeneratorFit, seed=0, chunk=16384, workers=1) -> BoundReport:
+def exp_moment_check(fam, grid: TimeGrid, n_paths: int, zetas,
+                     fit: GeneratorFit, seed=0, chunk=16384, workers=1) -> list[BoundReport]:
     """E[exp(sup_t zeta e^(-eta t)|X_t - x0|^2)] vs (8 C2 zeta^2 + 2) e^(-zeta gamma2/alpha2).
 
-    eta = alpha2 + 2 C2 zeta + 1/zeta.  The sup is realized as the max over
+    eta = alpha2 + 2 C2 zeta + 1/zeta.  One Euler pass serves every zeta; one
+    report per zeta, in zetas order.  The sup is realized as the max over
     grid times (a lower bound on the path sup, preserving the inequality
     direction of the LHS estimate).  Accumulation is done in log space.
     """
     c2 = fam.constants.c2
-    eta = fit.alpha_p + 2 * c2 * zeta + 1.0 / zeta
-    task = functools.partial(_sup_exponent_chunk, fam, grid, seed, zeta, eta)
-    z = np.concatenate(map_chunks(task, n_paths, chunk, workers))
-    zmax = float(np.max(z))
-    w = np.exp(z - zmax)
-    lhs = float(np.exp(zmax + np.log(np.mean(w))))
-    se = float(np.exp(zmax) * np.std(w, ddof=1) / np.sqrt(len(z)))
-    rhs = float((8 * c2 * zeta ** 2 + 2) * np.exp(-zeta * fit.ratio))
-    return BoundReport(
-        check="exp_moment", lhs=lhs, se=se, rhs=rhs,
-        constants={"zeta": zeta, "eta": eta, "c2": c2,
-                   "alpha2": fit.alpha_p, "gamma2": fit.gamma_p,
-                   "alpha2_raw": fit.alpha_raw})
+    etas = [fit.alpha_p + 2 * c2 * zeta + 1.0 / zeta for zeta in zetas]
+    task = functools.partial(_sup_exponent_chunk, fam, grid, seed, zetas, etas)
+    zs = np.concatenate(map_chunks(task, n_paths, chunk, workers), axis=1)
+    reports = []
+    for zeta, eta, z in zip(zetas, etas, zs):
+        zmax = float(np.max(z))
+        w = np.exp(z - zmax)
+        lhs = float(np.exp(zmax + np.log(np.mean(w))))
+        se = float(np.exp(zmax) * np.std(w, ddof=1) / np.sqrt(len(z)))
+        rhs = float((8 * c2 * zeta ** 2 + 2) * np.exp(-zeta * fit.ratio))
+        reports.append(BoundReport(
+            check="exp_moment", lhs=lhs, se=se, rhs=rhs,
+            constants={"zeta": zeta, "eta": eta, "c2": c2,
+                       "alpha2": fit.alpha_p, "gamma2": fit.gamma_p,
+                       "alpha2_raw": fit.alpha_raw}))
+    return reports
 
 
 def _terminal_chunk(fam, grid, seed, lo, hi):
@@ -235,18 +239,6 @@ def tail_check(fam, grid: TimeGrid, n_paths: int, y_offsets, fit: GeneratorFit,
     return reports
 
 
-def _cov_paths(fam, grid, seed, lo, hi):
-    """Q(t_k) = dt S_k of paths lo..hi-1 at every grid time, (paths, N+1, d, d)."""
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    return grid.dt * flow(fam, grid.dt, dW)[-1]
-
-
-def _dnorm_chunk(fam, grid, seed, p_list, lo, hi):
-    h2 = np.trace(_cov_paths(fam, grid, seed, lo, hi)[:, -1], axis1=-2, axis2=-1)
-    vs = [h2 ** (p / 2) for p in p_list]
-    return np.array([[v.sum(), (v * v).sum(), len(v)] for v in vs]).reshape(-1, 3)
-
-
 def _spread(values, what) -> float:
     """(max - min) / max; a non-finite value or a max <= 0 is a degenerate
     covariance (a zero diffusion makes every value 0)."""
@@ -254,14 +246,6 @@ def _spread(values, what) -> float:
     if not (np.all(np.isfinite(values)) and values.max() > 0):
         raise DegenerateCovarianceError(f"{what} degenerate: level values {values.tolist()}")
     return float((values.max() - values.min()) / values.max())
-
-
-def _spread_report(check, values, extra) -> BoundReport:
-    spread = _spread(values, f"{check} moment")
-    consts = dict(extra)
-    consts["values"] = [float(v) for v in values]
-    return BoundReport(check=check, lhs=spread, se=0.0, rhs=SPREAD_LIMIT,
-                       constants=consts)
 
 
 def _distinct_levels(levels) -> list:
@@ -273,59 +257,76 @@ def _distinct_levels(levels) -> list:
     return levels
 
 
-def dnorm_check(base, levels, grid: TimeGrid, n_paths: int, p_list,
-                seed=0, chunk=16384, workers=1) -> list[BoundReport]:
-    """Uniformity in n of E[(tr Q_T)^(p/2)] at t = T, p in {2, 4}; tr Q_T =
-    sum_k dt |G_k|_F^2 is the squared norm of the Malliavin derivative.
+def _exits(fam, X):
+    """Indices of the paths whose states X_0..X_{N-1} leave fam's ball (the
+    clamp's own mask).  b_m = b_n bitwise inside the ball of radius m < n, so
+    every other path is bitwise the same at any higher level n."""
+    return np.flatnonzero(np.any(fam._outside(X[:, :-1]), axis=1))
 
-    One `flow` pass per level serves every p.  One report per p, in p_list
-    order; each passes iff its spread across truncation levels is <= 10%.
+
+def _cov_values(fam, grid, dW, p_list, ks):
+    """Euler states of a `flow` pass on dW and its per-path values, one row
+    per p of (tr Q_T)^(p/2), then one per k of |Q(t_k)|_F^2, Q(t_k) = dt S_k."""
+    X, *_, S = flow(fam, grid.dt, dW)
+    h2 = np.trace(grid.dt * S[:, -1], axis1=-2, axis2=-1)
+    rows = [h2 ** (p / 2) for p in p_list]
+    rows += [np.sum((grid.dt * S[:, k]) ** 2, axis=(1, 2)) for k in ks]
+    return X, np.array(rows)
+
+
+def _cov_chunk(base, levels, grid, seed, p_list, ks, lo, hi):
+    """(levels, rows): per level, the chunk's sums of the `_cov_values` rows.
+
+    One noise draw drives every level, swept from the top down as in
+    `_convergence_chunk`: one full `flow` pass at the highest level, then at
+    each lower level a re-run of only the paths that leave its ball one level
+    up (`_exits`), whose values it overwrites.  The sums are bitwise those of
+    a full pass per level: every other path's values are the same at both.
+    """
+    dW = sample_noise_block(grid, seed, lo, hi, base.dim)
+    X, vals = _cov_values(TruncationFamily(base, levels[-1]), grid, dW, p_list, ks)
+    sums = [[v.sum() for v in vals]]
+    for m in reversed(levels[:-1]):
+        fam = TruncationFamily(base, m)
+        idx = _exits(fam, X)
+        X[idx], vals[:, idx] = _cov_values(fam, grid, dW[idx], p_list, ks)
+        sums.append([v.sum() for v in vals])
+    return np.array(sums[::-1])
+
+
+def dnorm_check(values, p, levels) -> BoundReport:
+    """The uniformity-in-n row of E[(tr Q_T)^(p/2)], one value per level;
+    tr Q_T = sum_k dt |G_k|_F^2 is the squared norm of the Malliavin
+    derivative.  Passes iff the spread across levels is <= 10%."""
+    return BoundReport("dnorm", _spread(values, "dnorm moment"), 0.0, SPREAD_LIMIT,
+                       {"p": p, "levels": list(levels), "values": [float(v) for v in values]})
+
+
+def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int, p_list=(2, 4),
+                      time_fractions=(0.25, 0.5, 1.0), seed=0, chunk=16384,
+                      workers=1) -> list[BoundReport]:
+    """The dnorm rows, one per p in p_list order (`dnorm_check`), then the
+    covQ row: E[|Q_n(t)|_F^2] across truncation levels n and grid times
+    t = k dt, k = max(1, round(N frac)) for each time fraction.
+
+    One top-down sweep over the distinct levels (`_cov_chunk`) serves both;
+    values follow the order of `levels`, duplicates included.  The covQ lhs is
+    the worst spread across n over the times; constants carry the table.
     """
     levels = _distinct_levels(levels)
-    p_list = list(p_list)
     if any(p not in (2, 4) for p in p_list):
         raise ValueError("p must be 2 or 4")
-    means = []
-    for n in levels:
-        fam = TruncationFamily(base, n)
-        task = functools.partial(_dnorm_chunk, fam, grid, seed, p_list)
-        s = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0)
-        means.append(s[:, 0] / s[:, 2])
-    return [_spread_report("dnorm", [m[i] for m in means],
-                           {"p": p, "levels": list(levels)})
-            for i, p in enumerate(p_list)]
-
-
-def _covq_chunk(fam, grid, seed, ks, lo, hi):
-    Q = _cov_paths(fam, grid, seed, lo, hi)
-    return np.array([np.sum(Q[:, k] ** 2, axis=(1, 2)).sum() for k in ks] + [len(Q)])
-
-
-def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int,
-                      time_fractions=(0.25, 0.5, 1.0), seed=0, chunk=16384,
-                      workers=1) -> BoundReport:
-    """E[|Q_n(t)|_F^2] across truncation levels n and grid times t = k dt,
-    k = max(1, round(N frac)) for each time fraction.
-
-    One `flow` pass per level gives Q(t_k) = dt S_k at every k.  All values
-    must be finite; the spread across n at each time must be <= 10%.  The
-    report's lhs is the worst spread; constants carry the table.
-    """
-    levels = _distinct_levels(levels)
     ks = [max(1, round(grid.steps * frac)) for frac in time_fractions]
-    sums = []
-    for n in levels:
-        task = functools.partial(_covq_chunk, TruncationFamily(base, n), grid, seed, ks)
-        sums.append(np.sum(map_chunks(task, n_paths, chunk, workers), axis=0))
-    table = {}
-    spreads = []
-    for i, k in enumerate(ks):
-        vals = [s[i] / s[-1] for s in sums]
-        table[f"t={grid.dt * k:g}"] = [float(v) for v in vals]
-        spreads.append(_spread(vals, "covariance moment"))
-    lhs = max(spreads)
-    return BoundReport(check="covQ", lhs=lhs, se=0.0, rhs=SPREAD_LIMIT,
-                       constants={"levels": list(levels), "table": table})
+    sweep = sorted(set(levels))
+    task = functools.partial(_cov_chunk, base, sweep, grid, seed, p_list, ks)
+    means = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0) / n_paths
+    cols = means[[sweep.index(n) for n in levels]].T
+    reports = [dnorm_check(vals, p, levels) for p, vals in zip(p_list, cols)]
+    table = {f"t={grid.dt * k:g}": [float(v) for v in vals]
+             for k, vals in zip(ks, cols[len(p_list):])}
+    lhs = max(_spread(vals, "covariance moment") for vals in cols[len(p_list):])
+    return reports + [BoundReport("covQ", lhs, 0.0, SPREAD_LIMIT,
+                                  {"levels": list(levels), "table": table})]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +343,8 @@ class InvCovScaling:
 
 
 def _logdet_chunk(fam, grid, seed, lo, hi):
-    sign, ld = np.linalg.slogdet(_cov_paths(fam, grid, seed, lo, hi)[:, -1])
+    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
+    sign, ld = np.linalg.slogdet(grid.dt * flow(fam, grid.dt, dW)[-1][:, -1])
     if np.any(sign <= 0):
         raise DegenerateCovarianceError(
             "nonpositive covariance determinant encountered")
@@ -400,18 +402,17 @@ def _convergence_chunk(base, levels, grid, seed, p, lo, hi):
     """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p.
 
     One noise draw drives every level, swept from the top down: one full Euler
-    pass at the highest level, then at each lower level m only the paths whose
-    states X_0..X_{N-1} one level up leave the ball of radius m (the clamp's
-    own mask) are re-run.  b_m = b_n bitwise inside that ball, so every other
-    path is bitwise the same at both levels and adds exactly 0.0 to the sum,
-    as a full pass would.  One state array is held; re-run rows overwrite it.
+    pass at the highest level, then at each lower level m only the paths that
+    leave its ball one level up (`_exits`) are re-run.  Every other path is
+    bitwise the same at both levels and adds exactly 0.0 to the sum, as a full
+    pass would.  One state array is held; re-run rows overwrite it.
     """
     dW = sample_noise_block(grid, seed, lo, hi, base.dim)
     X = euler_states(TruncationFamily(base, levels[-1]), grid.dt, dW)
     sums = []
     for m in reversed(levels[:-1]):
         fam = TruncationFamily(base, m)
-        idx = np.flatnonzero(np.any(fam._outside(X[:, :-1]), axis=1))
+        idx = _exits(fam, X)
         X_m = euler_states(fam, grid.dt, dW[idx])
         d = np.zeros(len(X))
         d[idx] = np.max(np.linalg.norm(X[idx] - X_m, axis=-1), axis=1)

@@ -26,7 +26,6 @@ from . import __version__
 from .bounds import (
     BoundReport,
     covQ_moment_check,
-    dnorm_check,
     exp_moment_check,
     fit_generator_constants,
     invcov_moment_scaling,
@@ -72,6 +71,9 @@ class ConfigError(ValueError):
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
 _NUMLIST = {"type": "array", "items": _NUM, "minItems": 1}
+_INTLIST = {"type": "array", "items": _INT, "minItems": 1}
+_ALPHAS = {"type": "array", "items": {"type": "array", "items": _INT},
+           "minItems": 1}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -111,15 +113,14 @@ CONFIG_SCHEMA = {
         "simulate": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"p_list": {"type": "array", "items": _INT}},
+            "properties": {"p_list": _INTLIST},
         },
         "density": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "y_grid": _NUMLIST,
-                "alphas": {"type": "array",
-                           "items": {"type": "array", "items": _INT}},
+                "alphas": _ALPHAS,
                 "envelope": {"type": "boolean"},
             },
         },
@@ -129,7 +130,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "zeta_list": _NUMLIST,
                 "y_offsets": _NUMLIST,
-                "p_list": {"type": "array", "items": _INT},
+                "p_list": _INTLIST,
                 "t_grid": _NUMLIST,
                 "invcov_steps": _INT,
             },
@@ -140,9 +141,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "steps": _INT,
                 "nodes": _INT,
-                "alphas": {"type": "array",
-                           "items": {"type": "array", "items": _INT}},
-                "functions": {"type": "array",
+                "alphas": _ALPHAS,
+                "functions": {"type": "array", "minItems": 1,
                               "items": {"enum": ["cos", "bump"]}},
                 "tolerance": _NUM,
             },
@@ -392,17 +392,15 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
     add(BoundReport("generator_fit", float(fit.holdout_violations), 0.0, 0.0),
         f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}")
-    for zeta in bcfg["zeta_list"]:
-        add(exp_moment_check(fam, grid, m_paths, zeta, fit, seed=seed,
-                             workers=workers), f"zeta={zeta:g}")
+    for rep in exp_moment_check(fam, grid, m_paths, bcfg["zeta_list"], fit,
+                                seed=seed, workers=workers):
+        add(rep, f"zeta={rep.constants['zeta']:g}")
     for rep in tail_check(fam, grid, m_paths, bcfg["y_offsets"], fit,
                           seed=seed, workers=workers):
         add(rep, f"y_off={rep.constants['offset']:g}")
-    for rep in dnorm_check(model, levels, grid, m_paths, bcfg["p_list"],
-                           seed=seed, workers=workers):
-        add(rep, f"p={rep.constants['p']}")
-    add(covQ_moment_check(model, levels, grid, m_paths, seed=seed,
-                          workers=workers), "frobenius")
+    for rep in covQ_moment_check(model, levels, grid, m_paths, bcfg["p_list"],
+                                 seed=seed, workers=workers):
+        add(rep, f"p={rep.constants['p']}" if rep.check == "dnorm" else "frobenius")
     scaling = invcov_moment_scaling(fam, bcfg["t_grid"], bcfg["p_list"],
                                     m_paths, steps=bcfg["invcov_steps"],
                                     seed=seed, workers=workers)

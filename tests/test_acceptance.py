@@ -177,9 +177,9 @@ def test_acceptance_6_exponential_moment_bound():
             fam = TruncationFamily(base, 8.0)
             fit = fit_generator_constants(fam, p=2)
             grid = TimeGrid(1.0, 32)
-            for zeta in (0.1, 0.5):
-                rep = exp_moment_check(fam, grid, 100000, zeta, fit, seed=8)
-                assert rep.passed, (base.__class__.__name__, zeta,
+            for rep in exp_moment_check(fam, grid, 100000, (0.1, 0.5), fit,
+                                        seed=8):
+                assert rep.passed, (base.__class__.__name__, rep.constants["zeta"],
                                     rep.lhs, rep.rhs)
                 assert "alpha2_raw" in rep.constants  # raw slope is reported
 

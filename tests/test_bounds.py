@@ -4,8 +4,8 @@ import pytest
 import malsde.bounds
 from malsde.bounds import (
     _convergence_chunk,
+    _cov_chunk,
     covQ_moment_check,
-    dnorm_check,
     exp_moment_check,
     fit_generator_constants,
     generator_violations,
@@ -14,7 +14,7 @@ from malsde.bounds import (
     tail_check,
     truncation_convergence,
 )
-from malsde.malliavin import DegenerateCovarianceError, chain_batch
+from malsde.malliavin import DegenerateCovarianceError, chain_batch, flow
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
@@ -89,12 +89,31 @@ def test_exp_moment_bound_holds(model_name, dw1):
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 32)
     lhs_by_zeta = []
-    for zeta in (0.1, 0.5):
-        rep = exp_moment_check(fam, grid, 20000, zeta, fit, seed=1)
+    for rep in exp_moment_check(fam, grid, 20000, (0.1, 0.5), fit, seed=1):
         assert rep.passed, (rep.lhs, rep.rhs)
         assert rep.lhs >= 1.0  # exp of a nonnegative variable
         lhs_by_zeta.append(rep.lhs)
     assert lhs_by_zeta[1] >= lhs_by_zeta[0]  # monotone in zeta
+
+
+def test_exp_moment_one_pass_serves_every_zeta(dw1, monkeypatch):
+    fam = TruncationFamily(dw1, 1.0)
+    fit = fit_generator_constants(fam, p=2)
+    grid = TimeGrid(1.0, 16)
+    n_paths, chunk = 3000, 1024
+    single = [exp_moment_check(fam, grid, n_paths, (zeta,), fit, seed=3, chunk=chunk)[0]
+              for zeta in (0.1, 0.5)]
+    rows = []
+
+    def counted_euler(fam, dt, dW):
+        rows.append(len(dW))
+        return euler_states(fam, dt, dW)
+
+    monkeypatch.setattr(malsde.bounds, "euler_states", counted_euler)
+    both = exp_moment_check(fam, grid, n_paths, (0.1, 0.5), fit, seed=3, chunk=chunk)
+    assert sum(rows) == n_paths  # one Euler pass for both zetas
+    assert both == single
+    assert [rep.constants["zeta"] for rep in both] == [0.1, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +150,12 @@ def test_tail_bound_holds_at_all_offsets(model_name, dw1):
 def test_dnorm_drift_free_exact():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     grid = TimeGrid(1.0, 16)
-    [rep] = dnorm_check(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
+    rep, _ = covQ_moment_check(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
     # [TRIVIAL] sum dt |G_k|^2 = T on every path and level
     assert rep.lhs == 0.0 and rep.passed
     assert np.allclose(rep.constants["values"], 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
-        dnorm_check(m, (2.0, 4.0), grid, 100, (3,))
+        covQ_moment_check(m, (2.0, 4.0), grid, 100, (3,))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -145,13 +164,13 @@ def test_dnorm_zero_diffusion_is_degenerate():
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=0.0)
     with pytest.raises(DegenerateCovarianceError):
-        dnorm_check(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
+        covQ_moment_check(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
 
 
 def test_dnorm_one_pass_serves_every_p(dw1):
     grid = TimeGrid(1.0, 16)
     levels = (1.0, 4.0)
-    reps = dnorm_check(dw1, levels, grid, 3000, (2, 4), chunk=1024)
+    reps = covQ_moment_check(dw1, levels, grid, 3000, (2, 4), chunk=1024)[:-1]
     dW = sample_noise_block(grid, 0, 0, 3000, 1)
     h2 = [grid.dt * np.sum(chain_batch(TruncationFamily(dw1, n), grid.dt, dW).G ** 2,
                            axis=(1, 2, 3))
@@ -167,14 +186,14 @@ def test_dnorm_one_pass_serves_every_p(dw1):
 @pytest.mark.parametrize("p", [2, 4])
 def test_dnorm_uniform_in_level_double_well(p, dw1):
     grid = TimeGrid(1.0, 32)
-    [rep] = dnorm_check(dw1, (2.0, 4.0, 8.0), grid, 20000, (p,))
+    rep, _ = covQ_moment_check(dw1, (2.0, 4.0, 8.0), grid, 20000, (p,))
     assert rep.passed, rep.constants["values"]
 
 
 def test_covq_drift_free_time_table():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     grid = TimeGrid(1.0, 16)
-    rep = covQ_moment_check(m, (2.0, 4.0), grid, 1000)
+    rep = covQ_moment_check(m, (2.0, 4.0), grid, 1000)[-1]
     assert rep.lhs == 0.0 and rep.passed
     for key, vals in rep.constants["table"].items():
         t = float(key.split("=")[1])
@@ -187,7 +206,7 @@ def test_covq_times_are_prefixes_of_one_pass(dw1):
     # same seed: the noise of the shorter grid is a prefix of the full one
     grid = TimeGrid(1.0, 16)
     levels = (1.0, 4.0)
-    rep = covQ_moment_check(dw1, levels, grid, 2000)
+    rep = covQ_moment_check(dw1, levels, grid, 2000)[-1]
     for k in (4, 8, 16):
         sub = TimeGrid(k * grid.dt, k)
         dW = sample_noise_block(sub, 0, 0, 2000, 1)
@@ -200,8 +219,73 @@ def test_covq_times_are_prefixes_of_one_pass(dw1):
 
 def test_covq_uniform_in_level_double_well(dw1):
     grid = TimeGrid(1.0, 32)
-    rep = covQ_moment_check(dw1, (2.0, 4.0, 8.0), grid, 20000)
+    rep = covQ_moment_check(dw1, (2.0, 4.0, 8.0), grid, 20000)[-1]
     assert rep.passed, rep.constants["table"]
+
+
+def _every_level_cov_sums(base, levels, grid, seed, p_list, ks, lo, hi):
+    """A full `flow` pass per level: per level the sums of (tr Q_T)^(p/2) and
+    of |Q(t_k)|_F^2, and per lower level m the paths whose states
+    X_0..X_{N-1} one level up leave the ball of radius m."""
+    dW = sample_noise_block(grid, seed, lo, hi, base.dim)
+    sums, X = [], []
+    for n in levels:
+        X_n, *_, S = flow(TruncationFamily(base, n), grid.dt, dW)
+        Q = grid.dt * S
+        h2 = np.trace(Q[:, -1], axis1=-2, axis2=-1)
+        sums.append([(h2 ** (p / 2)).sum() for p in p_list]
+                    + [np.sum(Q[:, k] ** 2, axis=(1, 2)).sum() for k in ks])
+        X.append(X_n)
+    exits = [int(np.count_nonzero(np.any(
+                 np.linalg.norm(hi_[:, :-1], axis=-1) > m, axis=1)))
+             for m, hi_ in zip(levels, X[1:])]
+    return np.array(sums), exits
+
+
+@pytest.mark.parametrize("case", ["dw1", "dw2"])
+def test_cov_sweep_matches_every_level_run(case, monkeypatch):
+    if case == "dw1":  # every path, about half and few leave
+        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        levels, grid = (0.25, 1.0, 2.0, 4.0), TimeGrid(1.0, 16)
+    else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
+        base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
+        levels, grid = (0.5, 1.0, 2.0, 4.0), TimeGrid(0.5, 16)
+    n_paths, chunk, seed = 6000, 2560, 11  # chunks of 2560, 2560 and 880 paths
+    p_list, ks = (2, 4), (4, 8, 16)
+    rows = []
+
+    def counted_flow(fam, dt, dW):
+        rows.append(len(dW))
+        return flow(fam, dt, dW)
+
+    monkeypatch.setattr(malsde.bounds, "flow", counted_flow)
+    total, all_exits = 0.0, np.zeros(len(levels) - 1, dtype=int)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        sums, exits = _every_level_cov_sums(base, levels, grid, seed, p_list, ks, lo, hi)
+        rows.clear()
+        got = _cov_chunk(base, levels, grid, seed, p_list, ks, lo, hi)
+        assert np.array_equal(got, sums)
+        # one full pass, then only the paths that leave each smaller ball
+        assert sum(rows) == (hi - lo) + sum(exits)
+        total = total + sums
+        all_exits += exits
+    if case == "dw1":
+        assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
+        assert 0 < all_exits[2] < n_paths // 100
+    else:
+        assert 0 < all_exits[0] < n_paths
+    # levels in any order, duplicates included, report in the caller's order
+    order = (4.0, 1.0, 2.0, 2.0)
+    reps = covQ_moment_check(base, order, grid, n_paths, p_list, (0.25, 0.5, 1.0),
+                             seed=seed, chunk=chunk)
+    means = total / n_paths
+    at = [levels.index(n) for n in order]
+    for i, rep in enumerate(reps[:-1]):
+        assert rep.constants["values"] == [float(means[j, i]) for j in at]
+        assert rep.constants["levels"] == list(order)
+    for i, vals in enumerate(reps[-1].constants["table"].values(), len(p_list)):
+        assert vals == [float(means[j, i]) for j in at]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +403,7 @@ def test_level_checks_need_two_distinct_levels(levels, dw1):
     with pytest.raises(ValueError, match="two distinct"):
         truncation_convergence(dw1, levels, grid, 100)
     with pytest.raises(ValueError, match="two distinct"):
-        dnorm_check(dw1, levels, grid, 100, (2,))
+        covQ_moment_check(dw1, levels, grid, 100, (2,))
     with pytest.raises(ValueError, match="two distinct"):
         covQ_moment_check(dw1, levels, grid, 100)
 

@@ -209,3 +209,32 @@ def test_exit_code_bounds_single_truncation_level(tmp_path):
                  "--set", "truncation_levels=[4.0]"])
     assert code == 2
     assert not (tmp_path / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("sub, override, csv_name", [
+    ("simulate", "simulate.p_list=[]", "moments.csv"),
+    ("bounds", "bounds.p_list=[]", "bounds.csv"),
+    ("density", "density.alphas=[]", "density.csv"),
+    ("oracle", "oracle.alphas=[]", "oracle.csv"),
+    ("oracle", "oracle.functions=[]", "oracle.csv"),
+])
+def test_exit_code_empty_check_list(tmp_path, sub, override, csv_name):
+    # a check with no rows cannot fail
+    code = _run([sub, "--out", tmp_path, "--set", "paths=500",
+                 "--set", "grid.steps=8", "--set", override])
+    assert code == 2
+    assert not (tmp_path / csv_name).exists()
+
+
+def test_bounds_worker_count_invariance(tmp_path):
+    # 17000 paths span two 16384-path chunks, so --workers 2 runs both at once
+    a, b = tmp_path / "w1", tmp_path / "w2"
+    a.mkdir(), b.mkdir()
+    common = ["bounds", "--set", _DW1, "--set", "paths=17000",
+              "--set", "grid.steps=8", "--set", "truncation_levels=[1.0,2.0,4.0]",
+              "--set", "bounds.invcov_steps=8"]
+    assert _run(common + ["--out", a, "--workers", "1"]) == 0
+    assert _run(common + ["--out", b, "--workers", "2"]) == 0
+    a_csv = (a / "bounds.csv").read_bytes()
+    assert a_csv == (b / "bounds.csv").read_bytes()
+    assert a_csv.count(b"\ndnorm,") == 2 and a_csv.count(b"\ncovQ,") == 1
