@@ -29,7 +29,6 @@ from .simulate import (
 )
 from .malliavin import (
     DegenerateCovarianceError,
-    second_derivative_chain,
     quadrature_oracle,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "sample_noise_block",
     "moment_estimate",
     "DegenerateCovarianceError",
-    "second_derivative_chain",
     "quadrature_oracle",
     "__version__",
 ]

@@ -23,7 +23,11 @@ from .parallel import map_chunks
 from .simulate import TimeGrid, euler_states, sample_noise_block
 
 ALPHA_FLOOR = 0.01
+ALPHA_MAX = 64.0
+FIT_SAMPLES = 4000       # ball sample the generator constants are fitted on
+HOLDOUT_SAMPLES = 10000  # fresh ball sample they are validated on
 SPREAD_LIMIT = 0.10
+COVQ_TIME_FRACTIONS = (0.25, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +45,9 @@ class GeneratorFit:
     quantity every exponential bound actually consumes.
     """
 
-    p: int
     alpha_p: float
     gamma_p: float
     alpha_raw: float
-    gamma0: float
-    radius: float
     holdout_violations: int
 
     @property
@@ -63,16 +64,15 @@ def _ball_sample(rng, x0, radius, n, dim):
     return pts
 
 
-def generator_violations(fam, p, alpha, gamma, n_samples=10000, radius=None,
-                         seed=1, tol=1e-9) -> int:
-    """Count of sampled points where L_n f > alpha f + gamma + tol."""
+def generator_violations(fam, p, alpha, gamma, radius=None, seed=1) -> int:
+    """Count of HOLDOUT_SAMPLES ball points where L_n f > alpha f + gamma + 1e-9."""
     radius = _default_radius(fam) if radius is None else float(radius)
     rng = np.random.default_rng(seed)
     x0 = np.asarray(fam.x0, dtype=float)
-    xs = _ball_sample(rng, x0, radius, n_samples, fam.dim)
+    xs = _ball_sample(rng, x0, radius, HOLDOUT_SAMPLES, fam.dim)
     f = np.sum((xs - x0) ** 2, axis=-1) ** (p / 2)
     lf = generator_apply(fam, p, xs)
-    return int(np.count_nonzero(lf > alpha * f + gamma + tol))
+    return int(np.count_nonzero(lf > alpha * f + gamma + 1e-9))
 
 
 def _polished_gamma(fam, p, alpha, xs, surplus, x0, radius):
@@ -105,24 +105,24 @@ def _default_radius(fam):
     return float(level) + 2.0 if level is not None else 8.0
 
 
-def fit_generator_constants(fam, p=2, radius=None, n_samples=4000, seed=0,
-                            alpha_floor=ALPHA_FLOOR, alpha_max=64.0) -> GeneratorFit:
+def fit_generator_constants(fam, p=2, radius=None) -> GeneratorFit:
     """Fit (alpha_p, gamma_p) with L_n|x-x0|^p <= alpha_p|x-x0|^p + gamma_p.
 
-    Two passes: (1) minimal-slope fit alpha_raw = max over samples with
-    f >= 1 of (L_n f - gamma0)/f, where gamma0 = max L_n f on the unit ball;
-    (2) grid over candidate alpha >= alpha_floor, each paired with its
-    minimal feasible gamma(alpha) = max(L_n f - alpha f), keeping the pair
-    with the smallest gamma/alpha.  The fitted pair is validated on a fresh
-    holdout sample.
+    Two passes over FIT_SAMPLES ball points (seed 0): (1) minimal-slope fit
+    alpha_raw = max over samples with f >= 1 of (L_n f - gamma0)/f, where
+    gamma0 = max L_n f on the unit ball; (2) grid over candidate alpha in
+    [ALPHA_FLOOR, ALPHA_MAX], each paired with its minimal feasible
+    gamma(alpha) = max(L_n f - alpha f), keeping the pair with the smallest
+    gamma/alpha.  The fitted pair is validated on a fresh holdout sample
+    (`generator_violations`, seed 1).
     """
     radius = _default_radius(fam) if radius is None else float(radius)
     level = getattr(fam, "level", None)
     if level is not None and radius < level:
         raise ValueError("sampling radius must cover the truncation level")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x0 = np.asarray(fam.x0, dtype=float)
-    xs = _ball_sample(rng, x0, radius, n_samples, fam.dim)
+    xs = _ball_sample(rng, x0, radius, FIT_SAMPLES, fam.dim)
     f = np.sum((xs - x0) ** 2, axis=-1) ** (p / 2)
     lf = generator_apply(fam, p, xs)
 
@@ -132,8 +132,8 @@ def fit_generator_constants(fam, p=2, radius=None, n_samples=4000, seed=0,
     gamma0 = float(np.max(lf[near]))
     alpha_raw = float(np.max((lf[~near] - gamma0) / f[~near]))
 
-    candidates = np.geomspace(alpha_floor, alpha_max, 49)
-    if alpha_raw > alpha_floor:
+    candidates = np.geomspace(ALPHA_FLOOR, ALPHA_MAX, 49)
+    if alpha_raw > ALPHA_FLOOR:
         candidates = np.append(candidates, alpha_raw)
     best = None
     for a in candidates:
@@ -143,10 +143,8 @@ def fit_generator_constants(fam, p=2, radius=None, n_samples=4000, seed=0,
             best = (float(a), g, ratio)
     alpha_p = best[0]
     gamma_p = _polished_gamma(fam, p, alpha_p, xs, lf - alpha_p * f, x0, radius)
-    viol = generator_violations(fam, p, alpha_p, gamma_p,
-                                radius=radius, seed=seed + 1)
-    return GeneratorFit(p=int(p), alpha_p=alpha_p, gamma_p=gamma_p,
-                        alpha_raw=alpha_raw, gamma0=gamma0, radius=radius,
+    viol = generator_violations(fam, p, alpha_p, gamma_p, radius=radius)
+    return GeneratorFit(alpha_p=alpha_p, gamma_p=gamma_p, alpha_raw=alpha_raw,
                         holdout_violations=viol)
 
 
@@ -303,11 +301,10 @@ def dnorm_check(values, p, levels) -> BoundReport:
 
 
 def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int, p_list=(2, 4),
-                      time_fractions=(0.25, 0.5, 1.0), seed=0, chunk=16384,
-                      workers=1) -> list[BoundReport]:
+                      seed=0, chunk=16384, workers=1) -> list[BoundReport]:
     """The dnorm rows, one per p in p_list order (`dnorm_check`), then the
     covQ row: E[|Q_n(t)|_F^2] across truncation levels n and grid times
-    t = k dt, k = max(1, round(N frac)) for each time fraction.
+    t = k dt, k = max(1, round(N frac)) for each of COVQ_TIME_FRACTIONS.
 
     One top-down sweep over the distinct levels (`_cov_chunk`) serves both;
     values follow the order of `levels`, duplicates included.  The covQ lhs is
@@ -316,7 +313,7 @@ def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int, p_list=(2, 4),
     levels = _distinct_levels(levels)
     if any(p not in (2, 4) for p in p_list):
         raise ValueError("p must be 2 or 4")
-    ks = [max(1, round(grid.steps * frac)) for frac in time_fractions]
+    ks = [max(1, round(grid.steps * frac)) for frac in COVQ_TIME_FRACTIONS]
     sweep = sorted(set(levels))
     task = functools.partial(_cov_chunk, base, sweep, grid, seed, p_list, ks)
     means = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0) / n_paths
@@ -335,9 +332,7 @@ def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int, p_list=(2, 4),
 
 @dataclass(frozen=True)
 class InvCovScaling:
-    times: np.ndarray
     p_list: tuple
-    log_moments: np.ndarray   # (len(p_list), len(times)), natural log
     slopes: np.ndarray        # fitted d log E[det Q^-p] / d log t
     ess_warnings: list
 
@@ -381,8 +376,7 @@ def invcov_moment_scaling(fam, times, p_list, n_paths: int, steps: int = 32,
                     f"{share:.0%} of the moment", RuntimeWarning, stacklevel=2)
     slopes = np.array([np.polyfit(np.log(times), log_m[i], 1)[0]
                        for i in range(len(p_list))])
-    return InvCovScaling(times=times, p_list=p_list, log_moments=log_m,
-                         slopes=slopes, ess_warnings=ess_warnings)
+    return InvCovScaling(p_list=p_list, slopes=slopes, ess_warnings=ess_warnings)
 
 
 def invcov_reference_slopes(dim: int, p: float) -> dict:

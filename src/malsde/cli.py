@@ -39,7 +39,6 @@ from .density import (
     fit_decay_envelope,
     full_alpha,
     gaussian_oracle,
-    kde,
     kde_risk,
     weight_samples,
 )
@@ -128,7 +127,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "zeta_list": _NUMLIST,
+                "zeta_list": {"type": "array", "minItems": 1,
+                              "items": {"type": "number", "exclusiveMinimum": 0}},
                 "y_offsets": _NUMLIST,
                 "p_list": _INTLIST,
                 "t_grid": _NUMLIST,
@@ -153,7 +153,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "levels": _NUMLIST,
                 "p": _INT,
-                "halving_steps": {"type": "array", "items": _INT},
+                "halving_steps": {"type": "array",
+                                  "items": {"type": "integer", "minimum": 1}},
             },
         },
     },
@@ -306,7 +307,7 @@ def cmd_simulate(cfg, outdir: Path) -> tuple[int, list[Path]]:
     estimates = moment_estimate(fam, grid, p_list, cfg["paths"], cfg["seed"],
                                 workers=cfg["workers"])
     rows = [(cfg["model"]["id"], fam.level, grid.steps, cfg["paths"],
-             cfg["seed"], p, sup, se) for p, (sup, se, _) in zip(p_list, estimates)]
+             cfg["seed"], p, sup, se) for p, (sup, se) in zip(p_list, estimates)]
     f = outdir / "moments.csv"
     write_csv(f, ["model", "n", "N", "M", "seed", "p", "sup_moment", "se"], rows)
     return EXIT_OK, [f]
@@ -337,8 +338,8 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
     kde_xn = xn[:50000][valid[:50000]]
     for alpha, alpha0, h_alpha in zip(dcfg["alphas"], alphas0, h):
         est, se = _orthant_estimates(xn, h_alpha, valid, ygrid, alpha0)
-        kde_vals = kde(kde_xn, ygrid) if not alpha0 else np.full(len(ys), np.nan)
-        risk = kde_risk(kde_xn, ygrid) if not alpha0 else np.full(len(ys), np.inf)
+        kde_vals, risk = (kde_risk(kde_xn, ygrid) if not alpha0 else
+                          (np.full(len(ys), np.nan), np.full(len(ys), np.inf)))
         oracle = (gaussian_oracle(model, grid.horizon, ygrid, alpha0,
                                   steps=grid.steps) if linear
                   else np.full(len(ys), np.nan))
@@ -355,7 +356,7 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
                       file=sys.stderr)
                 env_failed = True
             else:
-                env_vals = check.envelope.envelope(ygrid, grid.horizon)
+                env_vals = check.envelope
         for i, y in enumerate(ys):
             if linear:
                 ok = abs(est[i] - oracle[i]) <= 3 * se[i] + 1e-12

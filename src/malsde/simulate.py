@@ -48,8 +48,8 @@ def sample_noise_block(grid: TimeGrid, seed: int, path_lo: int, path_hi: int, di
     return rng.gaussian_increments(seed, path_lo, path_hi, grid.steps, dim, grid.dt)
 
 
-def euler_states(model, dt: float, dW: np.ndarray, x0=None) -> np.ndarray:
-    """All Euler states X_0..X_N for a batch of increment arrays (B, N, d).
+def euler_states(model, dt: float, dW: np.ndarray) -> np.ndarray:
+    """All Euler states X_0..X_N from model.x0 for a batch of increment arrays (B, N, d).
 
     Returns (B, N+1, d).  `model` may be an SdeModel or a TruncationFamily.
     Accepts complex dW (for complex-step sensitivities); blow-up checks only
@@ -57,9 +57,8 @@ def euler_states(model, dt: float, dW: np.ndarray, x0=None) -> np.ndarray:
     """
     dW = np.asarray(dW)
     B, N, d = dW.shape
-    x0 = model.x0 if x0 is None else np.asarray(x0)
     X = np.empty((B, N + 1, d), dtype=dW.dtype)
-    X[:, 0, :] = x0
+    X[:, 0, :] = model.x0
     real = not np.iscomplexobj(dW)
     for k in range(N):
         xk = X[:, k, :]
@@ -90,8 +89,8 @@ def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int,
     """Monte Carlo estimates of sup_k E|X_k^n|^p over the time grid for every
     p in p_list, from one Euler pass per chunk.
 
-    Returns one (sup_estimate, standard_error_of_that_maximum, per_step_means)
-    per p, in p_list order.
+    Returns one (sup_estimate, standard_error_of_that_maximum) per p, in
+    p_list order.
     """
     p_list = list(p_list)
     if any(p < 1 for p in p_list):
@@ -104,5 +103,5 @@ def moment_estimate(fam, grid: TimeGrid, p_list, n_paths: int, seed: int,
         s1, s2 = s1 + c1, s2 + c2
     means = s1 / n_paths
     var = np.maximum(s2 / n_paths - means ** 2, 0.0)
-    return [(float(m[k]), float(np.sqrt(var_p[k] / n_paths)), m)
+    return [(float(m[k]), float(np.sqrt(var_p[k] / n_paths)))
             for m, var_p, k in zip(means, var, np.argmax(means, axis=1))]

@@ -25,7 +25,6 @@ from malsde.density import (
     density_mc,
     fit_decay_envelope,
     gaussian_oracle,
-    kde,
     kde_risk,
 )
 from malsde.malliavin import chain_batch, quadrature_oracle, weight_alpha
@@ -164,8 +163,7 @@ def test_acceptance_5_double_well_cross_check():
         est8, se8, _ = density_mc(fam8, grid, 60000, 6, ys)
         xn = euler_states(fam8, grid.dt,
                           sample_noise_block(grid, 7, 0, 100000, 1))[:, -1, :]
-        k_est = kde(xn, ys)
-        k_risk = kde_risk(xn, ys)
+        k_est, k_risk = kde_risk(xn, ys)
         assert np.all(np.abs(est8 - k_est) <= 3 * (se8 + k_risk))
         est4, se4, _ = density_mc(TruncationFamily(base, 4.0), grid, 60000, 6, ys)
         assert np.all(np.abs(est4 - est8) <= 3 * np.hypot(se4, se8) + 1e-12)

@@ -277,7 +277,7 @@ def test_cov_sweep_matches_every_level_run(case, monkeypatch):
         assert 0 < all_exits[0] < n_paths
     # levels in any order, duplicates included, report in the caller's order
     order = (4.0, 1.0, 2.0, 2.0)
-    reps = covQ_moment_check(base, order, grid, n_paths, p_list, (0.25, 0.5, 1.0),
+    reps = covQ_moment_check(base, order, grid, n_paths, p_list,
                              seed=seed, chunk=chunk)
     means = total / n_paths
     at = [levels.index(n) for n in order]

@@ -226,6 +226,20 @@ def test_exit_code_empty_check_list(tmp_path, sub, override, csv_name):
     assert not (tmp_path / csv_name).exists()
 
 
+@pytest.mark.parametrize("sub, override, csv_name", [
+    ("bounds", "bounds.zeta_list=[0]", "bounds.csv"),
+    ("bounds", "bounds.zeta_list=[-0.5]", "bounds.csv"),
+    ("converge", "converge.halving_steps=[0,64]", "converge.csv"),
+])
+def test_exit_code_out_of_range_config(tmp_path, sub, override, csv_name):
+    # zeta = 0 divides by zero in the exp-moment rate and a negative zeta gives
+    # a meaningless bound; N = 0 halving steps divides by zero in the Euler law
+    code = _run([sub, "--out", tmp_path, "--set", "paths=500",
+                 "--set", "grid.steps=8", "--set", override])
+    assert code == 2
+    assert not (tmp_path / csv_name).exists()
+
+
 def test_bounds_worker_count_invariance(tmp_path):
     # 17000 paths span two 16384-path chunks, so --workers 2 runs both at once
     a, b = tmp_path / "w1", tmp_path / "w2"

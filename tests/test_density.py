@@ -140,8 +140,8 @@ def test_kde_risk_covers_true_error():
     dW = sample_noise_block(grid, 11, 0, 50000, 1)
     xn = dW.sum(axis=1)
     ys = np.linspace(-2, 2, 21)[:, None]
-    est = kde(xn, ys)
-    risk = kde_risk(xn, ys)
+    est, risk = kde_risk(xn, ys)
+    assert np.array_equal(est, kde(xn, ys))  # one kernel pass, same bits
     err = np.abs(est - norm.pdf(ys.ravel()))
     # the plug-in bound should cover the realized error at 3x on most points
     assert np.mean(err <= 3 * risk) >= 0.9
@@ -197,6 +197,10 @@ def test_envelope_fit_on_exact_gaussian_profile():
     check = fit_decay_envelope(ys[:, None], est, ses, t=1.0, x0=np.zeros(1),
                                c2=1.0, gamma2=0.05, alpha2=0.05, lambda0=1.0)
     assert check.holdout_pass  # [DERIVED] 100% holdout coverage
+    assert check.envelope.shape == (len(ys),)
+    # every estimate is significant, so the fit half is the even grid points,
+    # bounded by construction
+    assert np.all(np.abs(est[0::2]) <= check.envelope[0::2])
     # [DERIVED] empirical tail slope of log phi vs r^2 is -1/(2 sigma^2 t)
     assert check.tail_slope == pytest.approx(-0.5, rel=0.10)
 

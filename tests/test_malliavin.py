@@ -5,7 +5,6 @@ from malsde.density import count_drops
 from malsde.malliavin import (
     DegenerateCovarianceError,
     chain_batch,
-    second_derivative_chain,
 )
 from malsde.models import (
     BrownianModel,
@@ -17,6 +16,34 @@ from malsde.simulate import (
     euler_states,
     sample_noise_block,
 )
+
+
+def second_derivative_chain(fam, dt, dW) -> np.ndarray:
+    """out[j, k, i, a, b] = d^2 X_N^i / dW_j^a dW_k^b for one path, dW (N, d),
+    by differentiating the flow recursion.  O(N^2) storage: an independent
+    reference for the O(N) reductions of `chain_batch`.
+    """
+    dW = np.asarray(dW)
+    N, d = dW.shape
+    X = euler_states(fam, dt, dW[None])[0]
+    D = np.zeros((N, d, d))
+    SD = np.zeros((N, N, d, d, d))
+    for m in range(N):
+        xm = X[m]
+        Jb = fam.drift_jac(xm)
+        Js = fam.diffusion_jac(xm)
+        A = np.eye(d) + Jb * dt + np.einsum("ilp,l->ip", Js, dW[m])
+        E = fam.drift_hess(xm) * dt + np.einsum("ilpq,l->ipq", fam.diffusion_hess(xm), dW[m])
+        if m > 0:
+            T = np.einsum("ipq,jpa,kqb->jkiab", E, D[:m], D[:m])
+            SD[:m, :m] = np.einsum("iq,jkqab->jkiab", A, SD[:m, :m]) + T
+            nb = np.einsum("ibp,jpa->jiab", Js, D[:m])
+            SD[:m, m] = nb
+            SD[m, :m] = np.swapaxes(nb, -1, -2)
+            D[:m] = np.einsum("iq,jqa->jia", A, D[:m])
+        SD[m, m] = 0.0
+        D[m] = fam.diffusion(xm)
+    return SD
 
 
 def _path(model, level, steps, seed=0, path=0):

@@ -127,15 +127,15 @@ def test_coupled_pair_zero_inside_ball(dw1):
 def test_moment_estimate_constant_and_brownian():
     g = TimeGrid(1.0, 32)
     m0 = BrownianModel(dim=1, x0=[2.0], horizon=1.0, sigma0=0.0)
-    [(sup, se, _)] = moment_estimate(TruncationFamily(m0, 8.0), g, (2,), 500, 0)
+    [(sup, se)] = moment_estimate(TruncationFamily(m0, 8.0), g, (2,), 500, 0)
     assert sup == pytest.approx(4.0) and se == 0.0  # [TRIVIAL] |x0|^p
     m1 = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
-    [(sup, se, _)] = moment_estimate(TruncationFamily(m1, 50.0), g, (2,), 20000, 1)
+    [(sup, se)] = moment_estimate(TruncationFamily(m1, 50.0), g, (2,), 20000, 1)
     assert abs(sup - 1.0) <= 3 * se  # [DERIVED] E W_T^2 = T
 
 
 def test_moment_monotone_in_p(dw1):
     fam = TruncationFamily(dw1, 4.0)
     g = TimeGrid(1.0, 32)
-    (s2, _, _), (s4, _, _) = moment_estimate(fam, g, (2, 4), 20000, 2)
+    (s2, _), (s4, _) = moment_estimate(fam, g, (2, 4), 20000, 2)
     assert s4 >= s2**2 * (1 - 1e-9)  # [DERIVED] E|X|^4 >= (E|X|^2)^2
