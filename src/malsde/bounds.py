@@ -14,12 +14,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .malliavin import DegenerateCovarianceError, flow
 from .models import TruncationFamily, generator_apply
 from .parallel import map_chunks
+from .rng import gaussian_increments
 from .simulate import TimeGrid, euler_states, sample_noise_block
 
 ALPHA_FLOOR = 0.01
@@ -82,6 +82,8 @@ def _polished_gamma(fam, p, alpha, xs, surplus, x0, radius):
     closes the gap between the sample max and the true max, so fresh holdout
     samples cannot violate the fitted inequality.
     """
+    from scipy.optimize import minimize  # only the fit needs it; keeps CLI start-up light
+
     def neg(x):
         y = x - x0
         r = np.linalg.norm(y)
@@ -155,6 +157,7 @@ def fit_generator_constants(fam, p=2, radius=None) -> GeneratorFit:
 @dataclass(frozen=True)
 class BoundReport:
     check: str
+    param: str  # the row's `param` column, e.g. "zeta=0.1"
     lhs: float
     se: float
     rhs: float
@@ -169,59 +172,43 @@ class BoundReport:
         return bool(self.lhs <= self.rhs + 3 * self.se)
 
 
-def _sup_exponent_chunk(fam, grid, seed, zetas, etas, lo, hi):
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    X = euler_states(fam, grid.dt, dW)
-    x0 = np.asarray(fam.x0, dtype=float)
-    r2 = np.sum((X - x0) ** 2, axis=-1)
-    return np.array([zeta * np.max(np.exp(-eta * grid.times) * r2, axis=1)
-                     for zeta, eta in zip(zetas, etas)])
+def _exp_etas(fam, fit, zetas) -> list:
+    """eta = alpha2 + 2 C2 zeta + 1/zeta of the exp-moment bound, per zeta."""
+    return [fit.alpha_p + 2 * fam.constants.c2 * zeta + 1.0 / zeta for zeta in zetas]
 
 
-def exp_moment_check(fam, grid: TimeGrid, n_paths: int, zetas,
-                     fit: GeneratorFit, seed=0, chunk=16384, workers=1) -> list[BoundReport]:
+def exp_moment_check(fam, fit: GeneratorFit, zetas, sups) -> list[BoundReport]:
     """E[exp(sup_t zeta e^(-eta t)|X_t - x0|^2)] vs (8 C2 zeta^2 + 2) e^(-zeta gamma2/alpha2).
 
-    eta = alpha2 + 2 C2 zeta + 1/zeta.  One Euler pass serves every zeta; one
-    report per zeta, in zetas order.  The sup is realized as the max over
-    grid times (a lower bound on the path sup, preserving the inequality
-    direction of the LHS estimate).  Accumulation is done in log space.
+    eta = alpha2 + 2 C2 zeta + 1/zeta.  sups holds, one row per zeta, each
+    path's zeta max_k e^(-eta t_k)|X_k - x0|^2: the max over grid times is a
+    lower bound on the path sup, preserving the inequality direction of the
+    LHS estimate.  One report per zeta, in zetas order, accumulated in log space.
     """
     c2 = fam.constants.c2
-    etas = [fit.alpha_p + 2 * c2 * zeta + 1.0 / zeta for zeta in zetas]
-    task = functools.partial(_sup_exponent_chunk, fam, grid, seed, zetas, etas)
-    zs = np.concatenate(map_chunks(task, n_paths, chunk, workers), axis=1)
     reports = []
-    for zeta, eta, z in zip(zetas, etas, zs):
+    for zeta, eta, z in zip(zetas, _exp_etas(fam, fit, zetas), sups):
         zmax = float(np.max(z))
         w = np.exp(z - zmax)
         lhs = float(np.exp(zmax + np.log(np.mean(w))))
         se = float(np.exp(zmax) * np.std(w, ddof=1) / np.sqrt(len(z)))
         rhs = float((8 * c2 * zeta ** 2 + 2) * np.exp(-zeta * fit.ratio))
         reports.append(BoundReport(
-            check="exp_moment", lhs=lhs, se=se, rhs=rhs,
-            constants={"zeta": zeta, "eta": eta, "c2": c2,
-                       "alpha2": fit.alpha_p, "gamma2": fit.gamma_p,
-                       "alpha2_raw": fit.alpha_raw}))
+            "exp_moment", f"zeta={zeta:g}", lhs, se, rhs,
+            {"zeta": zeta, "eta": eta, "c2": c2, "alpha2": fit.alpha_p,
+             "gamma2": fit.gamma_p, "alpha2_raw": fit.alpha_raw}))
     return reports
 
 
-def _terminal_chunk(fam, grid, seed, lo, hi):
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    return euler_states(fam, grid.dt, dW)[:, -1, :]
-
-
-def tail_check(fam, grid: TimeGrid, n_paths: int, y_offsets, fit: GeneratorFit,
-               seed=0, chunk=16384, workers=1) -> list[BoundReport]:
+def tail_check(fam, fit: GeneratorFit, horizon, xt, y_offsets) -> list[BoundReport]:
     """P(X_T > x0 + off componentwise) vs (32 C2 + 2) e^(-2 gamma2/alpha2 - 2 e^(-eta T)|y-x0|^2).
 
-    eta = alpha2 + 4 C2 + 1/2.  One report per offset.
+    eta = alpha2 + 4 C2 + 1/2; xt holds each path's X_T.  One report per offset.
     """
     c2 = fam.constants.c2
     eta = fit.alpha_p + 4 * c2 + 0.5
     x0 = np.asarray(fam.x0, dtype=float)
-    task = functools.partial(_terminal_chunk, fam, grid, seed)
-    xt = np.concatenate(map_chunks(task, n_paths, chunk, workers), axis=0)
+    n_paths = len(xt)
     reports = []
     for off in y_offsets:
         y = x0 + float(off)
@@ -229,11 +216,11 @@ def tail_check(fam, grid: TimeGrid, n_paths: int, y_offsets, fit: GeneratorFit,
         lhs = float(hit.mean())
         se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / n_paths) / n_paths))
         r2 = float(np.sum((y - x0) ** 2))
-        rhs = float((32 * c2 + 2) * np.exp(-2 * fit.ratio - 2 * np.exp(-eta * grid.horizon) * r2))
+        rhs = float((32 * c2 + 2) * np.exp(-2 * fit.ratio - 2 * np.exp(-eta * horizon) * r2))
         reports.append(BoundReport(
-            check="tail", lhs=lhs, se=se, rhs=rhs,
-            constants={"offset": float(off), "eta": eta, "c2": c2,
-                       "alpha2": fit.alpha_p, "gamma2": fit.gamma_p}))
+            "tail", f"y_off={float(off):g}", lhs, se, rhs,
+            {"offset": float(off), "eta": eta, "c2": c2,
+             "alpha2": fit.alpha_p, "gamma2": fit.gamma_p}))
     return reports
 
 
@@ -272,57 +259,71 @@ def _cov_values(fam, grid, dW, p_list, ks):
     return X, np.array(rows)
 
 
-def _cov_chunk(base, levels, grid, seed, p_list, ks, lo, hi):
-    """(levels, rows): per level, the chunk's sums of the `_cov_values` rows.
+def _sup_exponents(fam, grid, zetas, etas, X):
+    """Per zeta (rows) and path: zeta max_k e^(-eta t_k)|X_k - x0|^2."""
+    r2 = np.sum((X - np.asarray(fam.x0, dtype=float)) ** 2, axis=-1)
+    return np.array([zeta * np.max(np.exp(-eta * grid.times) * r2, axis=1)
+                     for zeta, eta in zip(zetas, etas)])
 
-    One noise draw drives every level, swept from the top down as in
-    `_convergence_chunk`: one full `flow` pass at the highest level, then at
-    each lower level a re-run of only the paths that leave its ball one level
-    up (`_exits`), whose values it overwrites.  The sums are bitwise those of
-    a full pass per level: every other path's values are the same at both.
+
+def _cov_chunk(fam, sweep, grid, seed, zetas, etas, p_list, ks, lo, hi):
+    """(sums, sups, xt) of one noise draw: per sweep level the sums of the
+    `_cov_values` rows; at fam's level the sup exponents of `exp_moment_check`
+    and X_T.  The levels are swept from the top down as in
+    `_convergence_chunk`, re-running at each lower level only the paths that
+    leave its ball (`_exits`); all is bitwise a full pass per level.
     """
-    dW = sample_noise_block(grid, seed, lo, hi, base.dim)
-    X, vals = _cov_values(TruncationFamily(base, levels[-1]), grid, dW, p_list, ks)
-    sums = [[v.sum() for v in vals]]
-    for m in reversed(levels[:-1]):
-        fam = TruncationFamily(base, m)
-        idx = _exits(fam, X)
-        X[idx], vals[:, idx] = _cov_values(fam, grid, dW[idx], p_list, ks)
+    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
+    sums = []
+    for n in reversed(sweep):
+        level = TruncationFamily(fam.base, n)
+        if not sums:
+            X, vals = _cov_values(level, grid, dW, p_list, ks)
+        else:
+            idx = _exits(level, X)
+            X[idx], vals[:, idx] = _cov_values(level, grid, dW[idx], p_list, ks)
         sums.append([v.sum() for v in vals])
-    return np.array(sums[::-1])
+        if n == fam.level:  # lower levels overwrite X
+            sups, xt = _sup_exponents(fam, grid, zetas, etas, X), X[:, -1].copy()
+    return np.array(sums[::-1]), sups, xt
 
 
 def dnorm_check(values, p, levels) -> BoundReport:
     """The uniformity-in-n row of E[(tr Q_T)^(p/2)], one value per level;
     tr Q_T = sum_k dt |G_k|_F^2 is the squared norm of the Malliavin
     derivative.  Passes iff the spread across levels is <= 10%."""
-    return BoundReport("dnorm", _spread(values, "dnorm moment"), 0.0, SPREAD_LIMIT,
+    return BoundReport("dnorm", f"p={p}", _spread(values, "dnorm moment"), 0.0, SPREAD_LIMIT,
                        {"p": p, "levels": list(levels), "values": [float(v) for v in values]})
 
 
-def covQ_moment_check(base, levels, grid: TimeGrid, n_paths: int, p_list=(2, 4),
-                      seed=0, chunk=16384, workers=1) -> list[BoundReport]:
-    """The dnorm rows, one per p in p_list order (`dnorm_check`), then the
-    covQ row: E[|Q_n(t)|_F^2] across truncation levels n and grid times
-    t = k dt, k = max(1, round(N frac)) for each of COVQ_TIME_FRACTIONS.
-
-    One top-down sweep over the distinct levels (`_cov_chunk`) serves both;
-    values follow the order of `levels`, duplicates included.  The covQ lhs is
-    the worst spread across n over the times; constants carry the table.
+def covQ_moment_check(fam, levels, grid: TimeGrid, n_paths: int, fit: GeneratorFit,
+                      zetas, y_offsets, p_list, seed=0, chunk=16384,
+                      workers=1) -> list[BoundReport]:
+    """The exp_moment rows at fam's level (`exp_moment_check`), the tail rows
+    (`tail_check`), the dnorm rows (`dnorm_check`), then the covQ row:
+    E[|Q_n(t)|_F^2] across levels n and times t = k dt, k = max(1, round(N
+    frac)) for each of COVQ_TIME_FRACTIONS.  One noise draw per chunk and one
+    top-down sweep over the levels and fam's own (`_cov_chunk`) serve them
+    all; dnorm and covQ values follow the order of `levels`, duplicates
+    included.  The covQ lhs is the worst spread across n over the times.
     """
     levels = _distinct_levels(levels)
     if any(p not in (2, 4) for p in p_list):
         raise ValueError("p must be 2 or 4")
     ks = [max(1, round(grid.steps * frac)) for frac in COVQ_TIME_FRACTIONS]
-    sweep = sorted(set(levels))
-    task = functools.partial(_cov_chunk, base, sweep, grid, seed, p_list, ks)
-    means = np.sum(map_chunks(task, n_paths, chunk, workers), axis=0) / n_paths
+    sweep = sorted(set(levels) | {fam.level})
+    task = functools.partial(_cov_chunk, fam, sweep, grid, seed, zetas,
+                             _exp_etas(fam, fit, zetas), p_list, ks)
+    sums, sups, xt = zip(*map_chunks(task, n_paths, chunk, workers))
+    reports = exp_moment_check(fam, fit, zetas, np.concatenate(sups, axis=1))
+    reports += tail_check(fam, fit, grid.horizon, np.concatenate(xt), y_offsets)
+    means = np.sum(sums, axis=0) / n_paths
     cols = means[[sweep.index(n) for n in levels]].T
-    reports = [dnorm_check(vals, p, levels) for p, vals in zip(p_list, cols)]
+    reports += [dnorm_check(vals, p, levels) for p, vals in zip(p_list, cols)]
     table = {f"t={grid.dt * k:g}": [float(v) for v in vals]
              for k, vals in zip(ks, cols[len(p_list):])}
     lhs = max(_spread(vals, "covariance moment") for vals in cols[len(p_list):])
-    return reports + [BoundReport("covQ", lhs, 0.0, SPREAD_LIMIT,
+    return reports + [BoundReport("covQ", "frobenius", lhs, 0.0, SPREAD_LIMIT,
                                   {"levels": list(levels), "table": table})]
 
 
@@ -337,33 +338,39 @@ class InvCovScaling:
     ess_warnings: list
 
 
-def _logdet_chunk(fam, grid, seed, lo, hi):
-    dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
-    sign, ld = np.linalg.slogdet(grid.dt * flow(fam, grid.dt, dW)[-1][:, -1])
-    if np.any(sign <= 0):
-        raise DegenerateCovarianceError(
-            "nonpositive covariance determinant encountered")
-    return ld
+def _logdet_chunk(fam, times, steps, seed, lo, hi):
+    """log det Q(t) of paths lo..hi-1, one row per t.  One standard normal
+    draw, times sqrt(dt), is bitwise each t's `sample_noise_block` draw."""
+    z = gaussian_increments(seed, lo, hi, steps, fam.dim, 1.0)
+    rows = []
+    for t in times:
+        dt = TimeGrid(float(t), steps).dt
+        sign, ld = np.linalg.slogdet(dt * flow(fam, dt, z * np.sqrt(dt))[-1][:, -1])
+        if np.any(sign <= 0):
+            raise DegenerateCovarianceError(
+                "nonpositive covariance determinant encountered")
+        rows.append(ld)
+    return np.array(rows)
 
 
 def invcov_moment_scaling(fam, times, p_list, n_paths: int, steps: int = 32,
                           seed=0, chunk=16384, workers=1) -> InvCovScaling:
     """log-log scaling of E[det Q(t)^(-p)] in t, one fitted slope per p.
 
-    Moments are accumulated in log space.  A warning is recorded whenever the
-    top 1% of terms carries more than half of a moment's sum (heavy-tail
+    One noise draw per chunk serves every t (`_logdet_chunk`).  Moments are
+    accumulated in log space.  A warning is recorded whenever the top 1% of
+    terms carries more than half of a moment's sum (heavy-tail
     effective-sample-size alarm).
     """
     times = np.asarray(times, dtype=float)
     if times.max() / times.min() < 10 - 1e-9:
         raise ValueError("time grid must span at least a decade")
     p_list = tuple(p_list)
+    task = functools.partial(_logdet_chunk, fam, times, steps, seed)
+    lds = np.concatenate(map_chunks(task, n_paths, chunk, workers), axis=1)
     log_m = np.empty((len(p_list), len(times)))
     ess_warnings = []
-    for j, t in enumerate(times):
-        grid = TimeGrid(float(t), steps)
-        task = functools.partial(_logdet_chunk, fam, grid, seed)
-        ld = np.concatenate(map_chunks(task, n_paths, chunk, workers))
+    for j, (t, ld) in enumerate(zip(times, lds)):
         for i, p in enumerate(p_list):
             terms = -p * ld
             log_m[i, j] = logsumexp(terms) - np.log(len(terms))

@@ -26,11 +26,9 @@ from . import __version__
 from .bounds import (
     BoundReport,
     covQ_moment_check,
-    exp_moment_check,
     fit_generator_constants,
     invcov_moment_scaling,
     invcov_reference_slopes,
-    tail_check,
     truncation_convergence,
 )
 from .density import (
@@ -38,6 +36,7 @@ from .density import (
     count_drops,
     fit_decay_envelope,
     full_alpha,
+    gaussian_law,
     gaussian_oracle,
     kde_risk,
     weight_samples,
@@ -338,7 +337,8 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
     kde_xn = xn[:50000][valid[:50000]]
     for alpha, alpha0, h_alpha in zip(dcfg["alphas"], alphas0, h):
         est, se = _orthant_estimates(xn, h_alpha, valid, ygrid, alpha0)
-        kde_vals, risk = (kde_risk(kde_xn, ygrid) if not alpha0 else
+        # only the nonlinear alpha () pass rule reads the KDE
+        kde_vals, risk = (kde_risk(kde_xn, ygrid) if not (alpha0 or linear) else
                           (np.full(len(ys), np.nan), np.full(len(ys), np.inf)))
         oracle = (gaussian_oracle(model, grid.horizon, ygrid, alpha0,
                                   steps=grid.steps) if linear
@@ -378,30 +378,21 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
 
 def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
-    model, fam, grid = _build(cfg)
+    _, fam, grid = _build(cfg)
     bcfg = cfg["bounds"]
     seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
     levels = cfg["truncation_levels"]
     mid = cfg["model"]["id"]
     fit = fit_generator_constants(fam, 2)
-    rows = []
-
-    def add(report, param):
-        rows.append((report.check, mid, fam.level, grid.steps, m_paths, seed,
-                     param, report.lhs, report.se, report.rhs, report.margin,
-                     report.passed))
-
-    add(BoundReport("generator_fit", float(fit.holdout_violations), 0.0, 0.0),
-        f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}")
-    for rep in exp_moment_check(fam, grid, m_paths, bcfg["zeta_list"], fit,
-                                seed=seed, workers=workers):
-        add(rep, f"zeta={rep.constants['zeta']:g}")
-    for rep in tail_check(fam, grid, m_paths, bcfg["y_offsets"], fit,
-                          seed=seed, workers=workers):
-        add(rep, f"y_off={rep.constants['offset']:g}")
-    for rep in covQ_moment_check(model, levels, grid, m_paths, bcfg["p_list"],
-                                 seed=seed, workers=workers):
-        add(rep, f"p={rep.constants['p']}" if rep.check == "dnorm" else "frobenius")
+    reports = [BoundReport(
+        "generator_fit",
+        f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}",
+        float(fit.holdout_violations), 0.0, 0.0)]
+    reports += covQ_moment_check(fam, levels, grid, m_paths, fit, bcfg["zeta_list"],
+                                 bcfg["y_offsets"], bcfg["p_list"], seed=seed,
+                                 workers=workers)
+    rows = [(rep.check, mid, fam.level, grid.steps, m_paths, seed, rep.param,
+             rep.lhs, rep.se, rep.rhs, rep.margin, rep.passed) for rep in reports]
     scaling = invcov_moment_scaling(fam, bcfg["t_grid"], bcfg["p_list"],
                                     m_paths, steps=bcfg["invcov_steps"],
                                     seed=seed, workers=workers)
@@ -467,7 +458,6 @@ def cmd_converge(cfg, outdir: Path) -> tuple[int, list[Path]]:
                      m_paths, seed, val, ok))
     if _is_linear(model):
         # closed-form Euler-chain law vs continuous law: weak error per N
-        from .density import gaussian_law
         mean_inf, var_inf = gaussian_law(model, grid.horizon)
         errs = []
         for steps in ccfg["halving_steps"]:

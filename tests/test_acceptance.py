@@ -14,11 +14,10 @@ import pytest
 from scipy.stats import norm
 
 from malsde.bounds import (
-    exp_moment_check,
+    covQ_moment_check,
     fit_generator_constants,
     invcov_moment_scaling,
     invcov_reference_slopes,
-    tail_check,
 )
 from malsde.cli import _ORACLE_FUNCS, main
 from malsde.density import (
@@ -175,8 +174,9 @@ def test_acceptance_6_exponential_moment_bound():
             fam = TruncationFamily(base, 8.0)
             fit = fit_generator_constants(fam, p=2)
             grid = TimeGrid(1.0, 32)
-            for rep in exp_moment_check(fam, grid, 100000, (0.1, 0.5), fit,
-                                        seed=8):
+            # one sweep at levels 4 and 8: its first two rows are exp_moment
+            for rep in covQ_moment_check(fam, (4.0, 8.0), grid, 100000, fit,
+                                         (0.1, 0.5), (2.0,), (2,), seed=8)[:2]:
                 assert rep.passed, (base.__class__.__name__, rep.constants["zeta"],
                                     rep.lhs, rep.rhs)
                 assert "alpha2_raw" in rep.constants  # raw slope is reported
@@ -188,8 +188,9 @@ def test_acceptance_7_terminal_tail_bound():
             fam = TruncationFamily(base, 8.0)
             fit = fit_generator_constants(fam, p=2)
             grid = TimeGrid(1.0, 32)
-            for rep in tail_check(fam, grid, 100000, (2.0, 3.0, 4.0), fit,
-                                  seed=9):
+            # one sweep at levels 4 and 8: after its exp_moment row, the tail rows
+            for rep in covQ_moment_check(fam, (4.0, 8.0), grid, 100000, fit, (0.5,),
+                                         (2.0, 3.0, 4.0), (2,), seed=9)[1:4]:
                 assert rep.passed, (base.__class__.__name__,
                                     rep.constants["offset"], rep.lhs, rep.rhs)
 

@@ -3,8 +3,11 @@ import pytest
 
 import malsde.bounds
 from malsde.bounds import (
+    GeneratorFit,
     _convergence_chunk,
     _cov_chunk,
+    _exp_etas,
+    _logdet_chunk,
     covQ_moment_check,
     exp_moment_check,
     fit_generator_constants,
@@ -36,6 +39,28 @@ class _DiagDiffusionModel(BrownianModel):
     def diffusion(self, x):
         mat = np.diag([1.0, 2.0]).astype(np.asarray(x).dtype)
         return np.broadcast_to(mat, np.shape(x)[:-1] + (2, 2))
+
+
+# a placeholder fit for tests that read only the dnorm and covQ rows
+_FIT = GeneratorFit(alpha_p=1.0, gamma_p=1.0, alpha_raw=1.0, holdout_violations=0)
+
+
+def _sweep(fam, grid, n_paths, fit=_FIT, zetas=(0.5,), y_offsets=(1.0,), p_list=(2,),
+           levels=None, **kwargs):
+    """(exp_moment, tail, dnorm + covQ) reports of one `covQ_moment_check`
+    sweep; the levels default to fam's level and half of it."""
+    if levels is None:
+        levels = (fam.level / 2, fam.level)
+    reps = covQ_moment_check(fam, levels, grid, n_paths, fit, zetas, y_offsets,
+                             p_list, **kwargs)
+    i, j = len(zetas), len(zetas) + len(y_offsets)
+    return reps[:i], reps[i:j], reps[j:]
+
+
+def _cov_reports(base, levels, grid, n_paths, p_list=(2, 4), **kwargs):
+    """The dnorm and covQ reports of a sweep working at the top level."""
+    fam = TruncationFamily(base, max(levels))
+    return _sweep(fam, grid, n_paths, p_list=p_list, levels=levels, **kwargs)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +114,7 @@ def test_exp_moment_bound_holds(model_name, dw1):
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 32)
     lhs_by_zeta = []
-    for rep in exp_moment_check(fam, grid, 20000, (0.1, 0.5), fit, seed=1):
+    for rep in _sweep(fam, grid, 20000, fit, zetas=(0.1, 0.5), seed=1)[0]:
         assert rep.passed, (rep.lhs, rep.rhs)
         assert rep.lhs >= 1.0  # exp of a nonnegative variable
         lhs_by_zeta.append(rep.lhs)
@@ -101,16 +126,17 @@ def test_exp_moment_one_pass_serves_every_zeta(dw1, monkeypatch):
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 16)
     n_paths, chunk = 3000, 1024
-    single = [exp_moment_check(fam, grid, n_paths, (zeta,), fit, seed=3, chunk=chunk)[0]
+    single = [_sweep(fam, grid, n_paths, fit, zetas=(zeta,), seed=3, chunk=chunk)[0][0]
               for zeta in (0.1, 0.5)]
     rows = []
 
-    def counted_euler(fam, dt, dW):
-        rows.append(len(dW))
-        return euler_states(fam, dt, dW)
+    def counted_flow(level, dt, dW):
+        if level.level == fam.level:  # the sweep's top level, fam's own
+            rows.append(len(dW))
+        return flow(level, dt, dW)
 
-    monkeypatch.setattr(malsde.bounds, "euler_states", counted_euler)
-    both = exp_moment_check(fam, grid, n_paths, (0.1, 0.5), fit, seed=3, chunk=chunk)
+    monkeypatch.setattr(malsde.bounds, "flow", counted_flow)
+    both = _sweep(fam, grid, n_paths, fit, zetas=(0.1, 0.5), seed=3, chunk=chunk)[0]
     assert sum(rows) == n_paths  # one Euler pass for both zetas
     assert both == single
     assert [rep.constants["zeta"] for rep in both] == [0.1, 0.5]
@@ -125,7 +151,7 @@ def test_tail_bound_brownian_reference_value():
     fam = TruncationFamily(m, 8.0)
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 16)
-    reports = tail_check(fam, grid, 200000, (3.0,), fit, seed=2)
+    reports = _sweep(fam, grid, 200000, fit, y_offsets=(3.0,), seed=2)[1]
     rep = reports[0]
     # [DERIVED] P(W_1 > 3) = 1.3499e-3
     assert abs(rep.lhs - 1.3499e-3) <= 3 * rep.se
@@ -138,7 +164,7 @@ def test_tail_bound_holds_at_all_offsets(model_name, dw1):
     fam = TruncationFamily(base, 8.0)
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 32)
-    for rep in tail_check(fam, grid, 50000, (2.0, 3.0, 4.0), fit, seed=4):
+    for rep in _sweep(fam, grid, 50000, fit, y_offsets=(2.0, 3.0, 4.0), seed=4)[1]:
         assert rep.passed, (rep.constants["offset"], rep.lhs, rep.rhs)
         assert rep.rhs > 0
 
@@ -150,12 +176,12 @@ def test_tail_bound_holds_at_all_offsets(model_name, dw1):
 def test_dnorm_drift_free_exact():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     grid = TimeGrid(1.0, 16)
-    rep, _ = covQ_moment_check(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
+    rep, _ = _cov_reports(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
     # [TRIVIAL] sum dt |G_k|^2 = T on every path and level
     assert rep.lhs == 0.0 and rep.passed
     assert np.allclose(rep.constants["values"], 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
-        covQ_moment_check(m, (2.0, 4.0), grid, 100, (3,))
+        _cov_reports(m, (2.0, 4.0), grid, 100, (3,))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -164,13 +190,13 @@ def test_dnorm_zero_diffusion_is_degenerate():
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=0.0)
     with pytest.raises(DegenerateCovarianceError):
-        covQ_moment_check(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
+        _cov_reports(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
 
 
 def test_dnorm_one_pass_serves_every_p(dw1):
     grid = TimeGrid(1.0, 16)
     levels = (1.0, 4.0)
-    reps = covQ_moment_check(dw1, levels, grid, 3000, (2, 4), chunk=1024)[:-1]
+    reps = _cov_reports(dw1, levels, grid, 3000, (2, 4), chunk=1024)[:-1]
     dW = sample_noise_block(grid, 0, 0, 3000, 1)
     h2 = [grid.dt * np.sum(chain_batch(TruncationFamily(dw1, n), grid.dt, dW).G ** 2,
                            axis=(1, 2, 3))
@@ -186,14 +212,14 @@ def test_dnorm_one_pass_serves_every_p(dw1):
 @pytest.mark.parametrize("p", [2, 4])
 def test_dnorm_uniform_in_level_double_well(p, dw1):
     grid = TimeGrid(1.0, 32)
-    rep, _ = covQ_moment_check(dw1, (2.0, 4.0, 8.0), grid, 20000, (p,))
+    rep, _ = _cov_reports(dw1, (2.0, 4.0, 8.0), grid, 20000, (p,))
     assert rep.passed, rep.constants["values"]
 
 
 def test_covq_drift_free_time_table():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     grid = TimeGrid(1.0, 16)
-    rep = covQ_moment_check(m, (2.0, 4.0), grid, 1000)[-1]
+    rep = _cov_reports(m, (2.0, 4.0), grid, 1000)[-1]
     assert rep.lhs == 0.0 and rep.passed
     for key, vals in rep.constants["table"].items():
         t = float(key.split("=")[1])
@@ -206,7 +232,7 @@ def test_covq_times_are_prefixes_of_one_pass(dw1):
     # same seed: the noise of the shorter grid is a prefix of the full one
     grid = TimeGrid(1.0, 16)
     levels = (1.0, 4.0)
-    rep = covQ_moment_check(dw1, levels, grid, 2000)[-1]
+    rep = _cov_reports(dw1, levels, grid, 2000)[-1]
     for k in (4, 8, 16):
         sub = TimeGrid(k * grid.dt, k)
         dW = sample_noise_block(sub, 0, 0, 2000, 1)
@@ -219,7 +245,7 @@ def test_covq_times_are_prefixes_of_one_pass(dw1):
 
 def test_covq_uniform_in_level_double_well(dw1):
     grid = TimeGrid(1.0, 32)
-    rep = covQ_moment_check(dw1, (2.0, 4.0, 8.0), grid, 20000)[-1]
+    rep = _cov_reports(dw1, (2.0, 4.0, 8.0), grid, 20000)[-1]
     assert rep.passed, rep.constants["table"]
 
 
@@ -264,7 +290,8 @@ def test_cov_sweep_matches_every_level_run(case, monkeypatch):
         hi = min(lo + chunk, n_paths)
         sums, exits = _every_level_cov_sums(base, levels, grid, seed, p_list, ks, lo, hi)
         rows.clear()
-        got = _cov_chunk(base, levels, grid, seed, p_list, ks, lo, hi)
+        got, _, _ = _cov_chunk(TruncationFamily(base, levels[-1]), levels, grid, seed,
+                               (), [], p_list, ks, lo, hi)
         assert np.array_equal(got, sums)
         # one full pass, then only the paths that leave each smaller ball
         assert sum(rows) == (hi - lo) + sum(exits)
@@ -277,8 +304,7 @@ def test_cov_sweep_matches_every_level_run(case, monkeypatch):
         assert 0 < all_exits[0] < n_paths
     # levels in any order, duplicates included, report in the caller's order
     order = (4.0, 1.0, 2.0, 2.0)
-    reps = covQ_moment_check(base, order, grid, n_paths, p_list,
-                             seed=seed, chunk=chunk)
+    reps = _cov_reports(base, order, grid, n_paths, p_list, seed=seed, chunk=chunk)
     means = total / n_paths
     at = [levels.index(n) for n in order]
     for i, rep in enumerate(reps[:-1]):
@@ -286,6 +312,38 @@ def test_cov_sweep_matches_every_level_run(case, monkeypatch):
         assert rep.constants["levels"] == list(order)
     for i, vals in enumerate(reps[-1].constants["table"].values(), len(p_list)):
         assert vals == [float(means[j, i]) for j in at]
+
+
+@pytest.mark.parametrize("level", [0.25, 1.0, 4.0, 6.0])  # below, interior, top, above
+def test_one_sweep_serves_every_row(level, dw1):
+    fam = TruncationFamily(dw1, level)
+    levels, grid = (0.5, 1.0, 4.0), TimeGrid(1.0, 16)
+    n_paths, chunk, seed = 3000, 1024, 5  # chunks of 1024, 1024 and 952 paths
+    zetas, y_offsets, p_list = (0.1, 0.5), (0.25, 0.75), (2, 4)
+    fit = fit_generator_constants(fam, p=2)
+    reps = covQ_moment_check(fam, levels, grid, n_paths, fit, zetas, y_offsets,
+                             p_list, seed=seed, chunk=chunk)
+    X = euler_states(fam, grid.dt, sample_noise_block(grid, seed, 0, n_paths, 1))
+    r2 = np.sum((X - 0.3) ** 2, axis=-1)
+    sups = [zeta * np.max(np.exp(-eta * grid.times) * r2, axis=1)
+            for zeta, eta in zip(zetas, _exp_etas(fam, fit, zetas))]
+    direct = (exp_moment_check(fam, fit, zetas, sups)
+              + tail_check(fam, fit, grid.horizon, X[:, -1], y_offsets))
+    assert reps[:len(direct)] == direct
+    assert [rep.param for rep in direct] == ["zeta=0.1", "zeta=0.5",
+                                             "y_off=0.25", "y_off=0.75"]
+    ks = (4, 8, 16)
+    total = 0.0
+    for lo in range(0, n_paths, chunk):
+        sums, _ = _every_level_cov_sums(dw1, levels, grid, seed, p_list, ks, lo,
+                                        min(lo + chunk, n_paths))
+        total = total + sums
+    means = total / n_paths
+    assert [rep.check for rep in reps[len(direct):]] == ["dnorm", "dnorm", "covQ"]
+    for i, rep in enumerate(reps[len(direct):-1]):
+        assert rep.constants["values"] == [float(v) for v in means[:, i]]
+    for i, vals in enumerate(reps[-1].constants["table"].values(), len(p_list)):
+        assert vals == [float(v) for v in means[:, i]]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +380,19 @@ def test_invcov_nonlinear_reported_band(dw1):
     assert sc.slopes[1] < sc.slopes[0] < 0
     assert refs1["appendix_lemma"] - 0.5 < sc.slopes[0] < refs1["moment_hypothesis"] + 0.5
     assert refs2["appendix_lemma"] - 0.5 < sc.slopes[1] < refs2["moment_hypothesis"] + 0.5
+
+
+@pytest.mark.parametrize("case", ["dw1", "dw2"])
+def test_logdet_one_draw_matches_per_time_draws(case, dw1, dw2):
+    fam = TruncationFamily(dw1 if case == "dw1" else dw2, 1.0)
+    times, steps, seed = np.geomspace(0.1, 1.0, 5), 16, 7
+    got = _logdet_chunk(fam, times, steps, seed, 100, 600)
+    assert got.shape == (len(times), 500)
+    for t, row in zip(times, got):
+        grid = TimeGrid(float(t), steps)
+        dW = sample_noise_block(grid, seed, 100, 600, fam.dim)
+        _, expect = np.linalg.slogdet(grid.dt * flow(fam, grid.dt, dW)[-1][:, -1])
+        assert np.array_equal(row, expect)
 
 
 def test_invcov_requires_decade():
@@ -403,9 +474,9 @@ def test_level_checks_need_two_distinct_levels(levels, dw1):
     with pytest.raises(ValueError, match="two distinct"):
         truncation_convergence(dw1, levels, grid, 100)
     with pytest.raises(ValueError, match="two distinct"):
-        covQ_moment_check(dw1, levels, grid, 100, (2,))
+        _cov_reports(dw1, levels, grid, 100, (2,))
     with pytest.raises(ValueError, match="two distinct"):
-        covQ_moment_check(dw1, levels, grid, 100)
+        _cov_reports(dw1, levels, grid, 100)
 
 
 @pytest.mark.parametrize("p", [0, -2, 0.5])

@@ -1,9 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import malsde
+import malsde.bounds
+import malsde.rng
 from malsde.cli import ConfigError, load_config, main
+from malsde.parallel import map_chunks
+from malsde.rng import gaussian_increments
 
 
 def _run(args):
@@ -110,6 +119,23 @@ def test_density_tiny_diffusion_is_not_degenerate(tmp_path):
     code = _run(["density", "--out", tmp_path,
                  "--set", "model.params.sigma0=1e-16", "--set", "paths=1000"])
     assert code == 0
+
+
+def test_density_linear_model_needs_no_kde(tmp_path):
+    # a linear model's pass rule reads the Gaussian oracle, never the KDE, so
+    # fewer paths than the KDE needs are no config error
+    assert _run(["density", "--out", tmp_path, "--set", "paths=800"]) == 0
+    with open(tmp_path / "density.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(r["kde"] == "nan" for r in rows)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the generator fit runs scipy.optimize; start-up should not pay for it
+    src = str(Path(malsde.__file__).parents[1])
+    code = "import sys, malsde.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_envelope_fit_failure_is_a_failed_check(tmp_path):
@@ -238,6 +264,34 @@ def test_exit_code_out_of_range_config(tmp_path, sub, override, csv_name):
                  "--set", "grid.steps=8", "--set", override])
     assert code == 2
     assert not (tmp_path / csv_name).exists()
+
+
+_DW2 = 'model={"id":"double-well-2d","params":{"x0":[0.0,0.0],"horizon":0.5}}'
+
+
+def test_bounds_draws_noise_once_per_block(tmp_path, monkeypatch):
+    # one sweep serves the exp_moment, tail, dnorm and covQ rows and one draw
+    # every invcov time: two chunk maps, n_paths (N + invcov_steps) d normals
+    maps, draws = [], []
+
+    def counted_map(fn, n, chunk, workers=1):
+        maps.append(n)
+        return map_chunks(fn, n, chunk, workers)
+
+    def counted_draw(seed, path_lo, path_hi, steps, dim, dt):
+        draws.append((path_hi - path_lo) * steps * dim)
+        return gaussian_increments(seed, path_lo, path_hi, steps, dim, dt)
+
+    monkeypatch.setattr(malsde.bounds, "map_chunks", counted_map)
+    monkeypatch.setattr(malsde.bounds, "gaussian_increments", counted_draw)
+    monkeypatch.setattr(malsde.rng, "gaussian_increments", counted_draw)
+    code = _run(["bounds", "--out", tmp_path, "--set", _DW2, "--set", "paths=500",
+                 "--set", "grid.steps=8", "--set", "bounds.invcov_steps=4",
+                 "--set", "truncation_level=1.5",
+                 "--set", "truncation_levels=[1.0,2.0]"])
+    assert code in (0, 1)
+    assert maps == [500, 500]
+    assert sum(draws) == 500 * (8 + 4) * 2
 
 
 def test_bounds_worker_count_invariance(tmp_path):
