@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import os
 import sys
@@ -70,8 +71,9 @@ _NUM = {"type": "number"}
 _INT = {"type": "integer"}
 _NUMLIST = {"type": "array", "items": _NUM, "minItems": 1}
 _INTLIST = {"type": "array", "items": _INT, "minItems": 1}
-_ALPHAS = {"type": "array", "items": {"type": "array", "items": _INT},
-           "minItems": 1}
+_ALPHAS = {"type": "array", "minItems": 1,
+           "items": {"type": "array",
+                     "items": {"type": "integer", "minimum": 1}}}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -422,21 +424,17 @@ _ORACLE_FUNCS = {
 def cmd_oracle(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     ocfg = cfg["oracle"]
-    rows = []
-    worst = 0.0
-    for fname in ocfg["functions"]:
-        g = _ORACLE_FUNCS[fname]
-        for alpha in ocfg["alphas"]:
-            alpha0 = tuple(a - 1 for a in alpha)
-            lhs, rhs, gap = quadrature_oracle(fam, ocfg["steps"], g, alpha0,
-                                              nodes=ocfg["nodes"],
-                                              horizon=grid.horizon)
-            worst = max(worst, gap)
-            rows.append((f"{cfg['model']['id']}:{fname}", _alpha_tag(alpha),
-                         ocfg["steps"], lhs, rhs, gap))
+    # config coords are 1-based; one chain on the nodes serves every row
+    results = quadrature_oracle(
+        fam, ocfg["steps"], [_ORACLE_FUNCS[f] for f in ocfg["functions"]],
+        [tuple(a - 1 for a in alpha) for alpha in ocfg["alphas"]],
+        nodes=ocfg["nodes"], horizon=grid.horizon)
+    keys = itertools.product(ocfg["functions"], ocfg["alphas"])
+    rows = [(f"{cfg['model']['id']}:{fname}", _alpha_tag(alpha), ocfg["steps"], *res)
+            for (fname, alpha), res in zip(keys, results)]
     f = outdir / "oracle.csv"
     write_csv(f, ["model", "alpha", "N", "lhs", "rhs", "gap"], rows)
-    ok = worst <= ocfg["tolerance"]
+    ok = all(gap <= ocfg["tolerance"] for _, _, gap in results)
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), [f]
 
 

@@ -18,9 +18,10 @@ first-order weights:
     rows of G, i.e. as d directional derivatives; since Q = dt S_N they come
     from one forward tangent-linear pass of the S recursion, with no stored
     per-step tangents and no backward pass.
-Iterated weights (|alpha| = 2) additionally need directional derivatives of
-the inner weight; these are obtained by complex-step differentiation through
-the (everywhere complex-analytic) first-order pipeline.
+Iterated weights H_(i1,i2) = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j>
+additionally need one directional derivative of the inner weight, along
+w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; it is obtained by one complex step
+through the (everywhere complex-analytic) first-order pipeline.
 """
 
 from __future__ import annotations
@@ -171,50 +172,42 @@ def _cov_row_derivatives(ch: ChainBatch, S):
 # Weights
 # ---------------------------------------------------------------------------
 
-def weight_from_chain(ch: ChainBatch, i: int, g_value=None, g_pairing=None):
-    """H_{(i)}(G) per path from precomputed chain quantities.
-
-    H_{(i)}(G) = sum_j [ G Qinv_{ij} delta_j + G (Qinv gamma^j Qinv)_{ij}
-                         - Qinv_{ij} <DG, DX^j> ]
-    with <DG, DX^j> = dt sum_{k,a} (D_k^a G) G[k,j,a] passed as g_pairing.
-    G defaults to the constant 1.
-    """
+def weight_from_chain(ch: ChainBatch, i: int):
+    """H_{(i)}(1) per path from precomputed chain quantities:
+    sum_j [ Qinv_{ij} delta_j + (Qinv gamma^j Qinv)_{ij} ]."""
     qrow = ch.Qinv[:, i, :]
     base = np.einsum("bj,bj->b", qrow, ch.delta)
-    base = base + np.einsum("bp,bjpq,bqj->b", qrow, ch.gamma, ch.Qinv)
-    if g_value is None:
-        return base
-    return g_value * base - np.einsum("bj,bj->b", qrow, g_pairing)
+    return base + np.einsum("bp,bjpq,bqj->b", qrow, ch.gamma, ch.Qinv)
 
 
-def _inner_pairing(model, ch: ChainBatch, i: int):
-    """<D H_(i), DX^j> per path and j, by a complex step along dt G[:, :, j, :]."""
-    B, N, d = ch.dW.shape
-    pair = np.empty((B, d), dtype=ch.dW.dtype)
-    for j in range(d):
-        v = ch.dt * ch.G[:, :, j, :]
-        hc = weight_from_chain(chain_batch(model, ch.dt, ch.dW + (1j * _CSTEP) * v), i)
-        pair[:, j] = hc.imag / _CSTEP
-    return pair
+def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
+    """<D H_(i1), sum_j Qinv_{i2 j} DX^j> per path: the pairing is linear in
+    its direction, so one complex step along w = dt sum_j Qinv_{i2 j} G[:, :, j, :]."""
+    w = ch.dt * np.einsum("bj,bkja->bka", ch.Qinv[:, i2], ch.G)
+    hc = weight_from_chain(chain_batch(model, ch.dt, ch.dW + (1j * _CSTEP) * w), i1)
+    return hc.imag / _CSTEP
 
 
 def weights_from_chain(model, ch: ChainBatch, alphas):
     """H_alpha(1) per path for each alpha in alphas (0-based coords, |alpha|
     in {1, 2}), all from the one chain `ch`.
 
-    For alpha = (i1, i2) the recursion H_alpha = H_{i2}(H_{(i1)}) is used, with
-    the pairings <D H_(i1), DX^j> from complex-step differentiation of the
-    first-order pipeline.  Each H_(i1) and its pairings are computed once.
+    For alpha = (i1, i2) the recursion H_alpha = H_{i2}(H_{(i1)})
+    = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j> is used, with the
+    pairing from one complex step through the first-order pipeline.  Each
+    H_(i) is computed once, and one complex pass is made per distinct
+    order-2 alpha.
     """
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) not in (1, 2) for alpha in alphas):
         raise ValueError("weights are implemented for |alpha| <= 2 only")
-    inner = {i: weight_from_chain(ch, i) for i in sorted({a[0] for a in alphas})}
-    pairs = {i: _inner_pairing(model, ch, i)
-             for i in sorted({a[0] for a in alphas if len(a) == 2})}
-    return [inner[a[0]] if len(a) == 1 else
-            weight_from_chain(ch, a[1], g_value=inner[a[0]], g_pairing=pairs[a[0]])
-            for a in alphas]
+    d = ch.dW.shape[-1]
+    if any(not 0 <= a < d for alpha in alphas for a in alpha):
+        raise ValueError(f"alpha coordinates must name one of the model's {d} dimensions")
+    first = {i: weight_from_chain(ch, i) for i in sorted({a for alpha in alphas for a in alpha})}
+    second = {a: first[a[0]] * first[a[1]] - _inner_pairing(model, ch, *a)
+              for a in sorted({a for a in alphas if len(a) == 2})}
+    return [first[a[0]] if len(a) == 1 else second[a] for a in alphas]
 
 
 def weight_alpha(model, dt, dW, alpha):
@@ -230,13 +223,14 @@ def weight_alpha(model, dt, dW, alpha):
 # Gauss-Hermite oracle for the IBP identity
 # ---------------------------------------------------------------------------
 
-def quadrature_oracle(fam, steps, g_derivatives, alpha, nodes=64, horizon=None):
+def quadrature_oracle(fam, steps, funcs, alphas, nodes=64, horizon=None):
     """Verify E[d_alpha g(X_N) ] = E[g(X_N) H_alpha] by tensor quadrature.
 
     d = 1 and steps <= 3 so the increment space is at most 3-dimensional;
     both expectations are computed with `nodes` Gauss-Hermite points per
-    dimension.  `g_derivatives` is a sequence (g, g', g'', ...) of callables.
-    Returns (lhs, rhs, gap).
+    dimension, from one chain on the nodes.  Each entry of `funcs` is a
+    sequence (g, g', g'', ...) of callables.  Returns (lhs, rhs, gap) per
+    (g, alpha), g outer.
     """
     if fam.dim != 1:
         raise ValueError("quadrature oracle is one-dimensional")
@@ -244,7 +238,6 @@ def quadrature_oracle(fam, steps, g_derivatives, alpha, nodes=64, horizon=None):
         raise ValueError("steps must be <= 3 for the tensor oracle")
     if nodes < 40:
         raise ValueError("need at least 40 quadrature nodes per dimension")
-    alpha = tuple(int(a) for a in alpha)
     T = fam.horizon if horizon is None else float(horizon)
     dt = T / steps
     z, w = np.polynomial.hermite.hermgauss(nodes)
@@ -253,10 +246,13 @@ def quadrature_oracle(fam, steps, g_derivatives, alpha, nodes=64, horizon=None):
     wgrids = np.meshgrid(*([w] * steps), indexing="ij")
     wt = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1) / np.pi ** (steps / 2.0)
 
-    H, ch = weight_alpha(fam, dt, dW, alpha)
+    ch = chain_batch(fam, dt, dW)
+    hs = weights_from_chain(fam, ch, alphas)
     XN = ch.X[:, -1, 0]
-    g0 = g_derivatives[0]
-    gm = g_derivatives[len(alpha)]
-    lhs = float(np.sum(wt * gm(XN)))
-    rhs = float(np.sum(wt * g0(XN) * H))
-    return lhs, rhs, abs(lhs - rhs)
+    out = []
+    for g in funcs:
+        for alpha, H in zip(alphas, hs):
+            lhs = float(np.sum(wt * g[len(alpha)](XN)))
+            rhs = float(np.sum(wt * g[0](XN) * H))
+            out.append((lhs, rhs, abs(lhs - rhs)))
+    return out

@@ -102,11 +102,14 @@ def test_acceptance_2_quadrature_ibp_oracle():
         ou = TruncationFamily(_centered_ou(), 8.0)
         dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=0.5,
                                                 sigma0=0.8), 4.0)
+        cases = (((0,), 1e-8), ((0, 0), 1e-6))
+        funcs = list(_ORACLE_FUNCS.values())
         for fam in (ou, dw):
-            for g in _ORACLE_FUNCS.values():
-                for alpha, tol in (((0,), 1e-8), ((0, 0), 1e-6)):
-                    lhs, rhs, gap = quadrature_oracle(fam, 2, g, alpha, nodes=128)
-                    assert gap <= tol, (fam.base.__class__.__name__, alpha, gap)
+            results = quadrature_oracle(fam, 2, funcs, [a for a, _ in cases],
+                                        nodes=128)
+            assert len(results) == len(funcs) * len(cases)
+            for (lhs, rhs, gap), (alpha, tol) in zip(results, cases * len(funcs)):
+                assert gap <= tol, (fam.base.__class__.__name__, alpha, gap)
 
 
 def test_acceptance_3_brownian_closed_form_weight_and_density():

@@ -256,10 +256,16 @@ def test_exit_code_empty_check_list(tmp_path, sub, override, csv_name):
     ("bounds", "bounds.zeta_list=[0]", "bounds.csv"),
     ("bounds", "bounds.zeta_list=[-0.5]", "bounds.csv"),
     ("converge", "converge.halving_steps=[0,64]", "converge.csv"),
+    ("density", "density.alphas=[[0]]", "density.csv"),
+    ("density", "density.alphas=[[2]]", "density.csv"),
+    ("oracle", "oracle.alphas=[[0]]", "oracle.csv"),
+    ("oracle", "oracle.alphas=[[2]]", "oracle.csv"),
 ])
 def test_exit_code_out_of_range_config(tmp_path, sub, override, csv_name):
     # zeta = 0 divides by zero in the exp-moment rate and a negative zeta gives
-    # a meaningless bound; N = 0 halving steps divides by zero in the Euler law
+    # a meaningless bound; N = 0 halving steps divides by zero in the Euler law;
+    # alpha coordinates are 1..d (0 would index the last coordinate from the
+    # end, and the 1-d defaults have no coordinate 2)
     code = _run([sub, "--out", tmp_path, "--set", "paths=500",
                  "--set", "grid.steps=8", "--set", override])
     assert code == 2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from malsde import malliavin
 from malsde.malliavin import (
     _inner_pairing,
     chain_batch,
     quadrature_oracle,
     weight_alpha,
+    weight_from_chain,
+    weights_from_chain,
 )
 from malsde.models import (
     BrownianModel,
@@ -66,8 +69,10 @@ def test_weight_mean_zero_linear_model(alpha):
 def test_weight_order_cap():
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 8)
-    with pytest.raises(ValueError):
-        weight_alpha(fam, grid.dt, dW, (0, 0, 0))
+    # order 3, and coordinates outside 0..d-1 (-1 would index from the end)
+    for alpha in [(0, 0, 0), (1,), (-1,), (0, 1)]:
+        with pytest.raises(ValueError):
+            weight_alpha(fam, grid.dt, dW, alpha)
 
 
 def test_weight_degenerate_covariance():
@@ -83,30 +88,73 @@ def test_weight_degenerate_covariance():
 
 @pytest.mark.parametrize("which", ["dw1", "dw2"])
 def test_inner_pairing_matches_fd(which, dw1, dw2):
-    # [DERIVED] the complex-step pairing is the derivative of H_(i) along
-    # v = dt G[:, :, j, :]; central differences agree to relative error 1e-6
+    # [DERIVED] the complex-step pairing is the derivative of H_(i1) along
+    # w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; central differences agree to
+    # relative error 1e-6
     model = {"dw1": dw1, "dw2": dw2}[which]
     fam, grid, dW = _path(model, 4.0, 8, seed=2)
     ch = chain_batch(fam, grid.dt, dW)
     h = 1e-4
-    for i in range(model.dim):
-        pair = _inner_pairing(fam, ch, i)
-        for j in range(model.dim):
-            v = grid.dt * ch.G[:, :, j, :]
-            hp, _ = weight_alpha(fam, grid.dt, dW + h * v, (i,))
-            hm, _ = weight_alpha(fam, grid.dt, dW - h * v, (i,))
+    for i1 in range(model.dim):
+        for i2 in range(model.dim):
+            pair = _inner_pairing(fam, ch, i1, i2)
+            w = grid.dt * np.einsum("bj,bkja->bka", ch.Qinv[:, i2], ch.G)
+            hp, _ = weight_alpha(fam, grid.dt, dW + h * w, (i1,))
+            hm, _ = weight_alpha(fam, grid.dt, dW - h * w, (i1,))
             fd = float(hp[0] - hm[0]) / (2 * h)
-            ref = float(pair[0, j].real)
+            ref = float(pair[0].real)
             assert abs(fd - ref) / max(abs(ref), 1e-8) <= 1e-6
 
 
 def test_brownian_inner_pairing_is_one():
     # [DERIVED] H = W_T / (sigma T), so D_k H = 1 / (sigma T); with G_k = sigma
-    # the pairing dt sum_k D_k H G_k is exactly 1
+    # and Qinv = 1 / (sigma^2 T) = 1 at sigma = T = 1 the pairing
+    # dt sum_k D_k H Qinv G_k is exactly 1
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 8)
-    pair = _inner_pairing(fam, chain_batch(fam, grid.dt, dW), 0)
+    pair = _inner_pairing(fam, chain_batch(fam, grid.dt, dW), 0, 0)
     assert np.allclose(pair.real, 1.0, rtol=1e-11)
+
+
+@pytest.mark.parametrize("which", ["dw1", "dw2"])
+def test_inner_pairing_is_qinv_row_of_per_direction_steps(which, dw1, dw2):
+    # [DERIVED] the pairing is linear in its direction, so the one step along
+    # w equals sum_j Qinv_{i2 j} times the step along dt G[:, :, j, :]
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    fam = TruncationFamily(model, 0.5)
+    grid = TimeGrid(model.horizon, 8)
+    dW = sample_noise_block(grid, 5, 0, 64, model.dim)
+    ch = chain_batch(fam, grid.dt, dW)
+    assert fam._outside(ch.X).any()  # clamp terms enter Q and its inverse
+    eps = 1e-100
+
+    def step(i1, v):  # derivative of H_(i1) along v, one complex step
+        return weight_from_chain(chain_batch(fam, grid.dt, dW + 1j * eps * v), i1).imag / eps
+
+    for i1 in range(model.dim):
+        per_j = [step(i1, grid.dt * ch.G[:, :, j, :]) for j in range(model.dim)]
+        for i2 in range(model.dim):
+            got = _inner_pairing(fam, ch, i1, i2)
+            ref = sum(ch.Qinv[:, i2, j] * per_j[j] for j in range(model.dim))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which,alpha", [("dw2", (0, 1)), ("dw1", (0, 0))])
+def test_order2_weight_makes_one_complex_pass(which, alpha, dw1, dw2, monkeypatch):
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    fam = TruncationFamily(model, 4.0)
+    grid = TimeGrid(model.horizon, 8)
+    dW = sample_noise_block(grid, 3, 0, 16, model.dim)
+    ch = chain_batch(fam, grid.dt, dW)
+    calls = []
+
+    def counted(model, dt, dW):
+        calls.append(dW)
+        return chain_batch(model, dt, dW)
+
+    monkeypatch.setattr(malliavin, "chain_batch", counted)
+    weights_from_chain(fam, ch, [alpha])
+    assert [(np.iscomplexobj(c), len(c)) for c in calls] == [(True, 16)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +166,7 @@ def test_oracle_linear_model(alpha, tol):
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
-    lhs, rhs, gap = quadrature_oracle(fam, 2, COS, alpha, nodes=64)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], nodes=64)
     assert gap <= tol  # [DERIVED] Gaussian integrands converge fast
 
 
@@ -126,7 +174,7 @@ def test_oracle_linear_model(alpha, tol):
 def test_oracle_brownian_all_step_counts(steps):
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
-    lhs, rhs, gap = quadrature_oracle(fam, steps, COS, (0,), nodes=48)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, steps, [COS], [(0,)], nodes=48)
     # [DERIVED] E[-sin(W_1)] = -sin(0) e^{-1/2} = 0 exactly by symmetry
     assert abs(lhs) <= 1e-12
     assert gap <= 1e-12
@@ -137,7 +185,7 @@ def test_oracle_nonlinear_model(alpha, tol):
     # short horizon keeps the Gauss-Hermite truncation error below tol
     m = DoubleWell1DModel(x0=[0.3], horizon=0.5, sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
-    lhs, rhs, gap = quadrature_oracle(fam, 2, COS, alpha, nodes=128)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], nodes=128)
     assert abs(lhs) > 1e-3  # the identity is checked on a nontrivial value
     assert gap <= tol
 
@@ -145,12 +193,12 @@ def test_oracle_nonlinear_model(alpha, tol):
 def test_oracle_input_validation(dw2, dw1):
     fam2 = TruncationFamily(dw2, 4.0)
     with pytest.raises(ValueError):
-        quadrature_oracle(fam2, 2, COS, (0,))
+        quadrature_oracle(fam2, 2, [COS], [(0,)])
     fam1 = TruncationFamily(dw1, 4.0)
     with pytest.raises(ValueError):
-        quadrature_oracle(fam1, 4, COS, (0,))
+        quadrature_oracle(fam1, 4, [COS], [(0,)])
     with pytest.raises(ValueError):
-        quadrature_oracle(fam1, 2, COS, (0,), nodes=10)
+        quadrature_oracle(fam1, 2, [COS], [(0,)], nodes=10)
 
 
 # ---------------------------------------------------------------------------
