@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .density import gaussian_law
 from .malliavin import DegenerateCovarianceError, flow
-from .models import TruncationFamily, generator_apply
+from .models import (
+    BrownianModel,
+    OrnsteinUhlenbeckModel,
+    TruncationFamily,
+    generator_apply,
+)
 from .parallel import map_chunks
 from .rng import gaussian_increments
 from .simulate import TimeGrid, euler_states, sample_noise_block
@@ -27,6 +33,8 @@ ALPHA_MAX = 64.0
 FIT_SAMPLES = 4000       # ball sample the generator constants are fitted on
 HOLDOUT_SAMPLES = 10000  # fresh ball sample they are validated on
 SPREAD_LIMIT = 0.10
+# fitted vs exact invcov slope where Q is deterministic: only round-off may differ
+_INVCOV_SLOPE_RTOL = 1e-9
 COVQ_TIME_FRACTIONS = (0.25, 0.5, 1.0)
 
 
@@ -384,6 +392,32 @@ def invcov_moment_scaling(fam, times, p_list, n_paths: int, steps: int = 32,
     slopes = np.array([np.polyfit(np.log(times), log_m[i], 1)[0]
                        for i in range(len(p_list))])
     return InvCovScaling(p_list=p_list, slopes=slopes, ess_warnings=ess_warnings)
+
+
+def invcov_exact_slope(model, times, p, steps: int) -> float:
+    """The log-log slope of E[det Q(t)^(-p)] for Brownian or OU dynamics,
+    where Q(t) is deterministic: the Euler chain's covariance, diagonal with
+    the variances of `gaussian_law`, so log E[det Q^-p] = -p sum_i log var_i."""
+    times = np.asarray(times, dtype=float)
+    log_m = [-p * np.sum(np.log(gaussian_law(model, t, steps=steps)[1])) for t in times]
+    return float(np.polyfit(np.log(times), log_m, 1)[0])
+
+
+def invcov_slope_passes(process, scaling: InvCovScaling, times, steps: int) -> list:
+    """Pass flag per p of an `invcov_moment_scaling` fit of `process`.
+
+    For untruncated Brownian or OU dynamics Q(t) is deterministic, so the
+    fitted slope must be `invcov_exact_slope` up to round-off.  A truncation
+    family bends the drift of paths that leave its ball, so Q is random there,
+    and no exact slope is known for the nonlinear models: those rows pass.
+    """
+    if not isinstance(process, (BrownianModel, OrnsteinUhlenbeckModel)):
+        return [True] * len(scaling.p_list)
+    passes = []
+    for p, slope in zip(scaling.p_list, scaling.slopes):
+        exact = invcov_exact_slope(process, times, p, steps)
+        passes.append(bool(abs(slope - exact) <= _INVCOV_SLOPE_RTOL * max(1.0, abs(exact))))
+    return passes
 
 
 def invcov_reference_slopes(dim: int, p: float) -> dict:

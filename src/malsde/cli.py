@@ -30,6 +30,7 @@ from .bounds import (
     fit_generator_constants,
     invcov_moment_scaling,
     invcov_reference_slopes,
+    invcov_slope_passes,
     truncation_convergence,
 )
 from .density import (
@@ -380,7 +381,7 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
 
 def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
-    _, fam, grid = _build(cfg)
+    model, fam, grid = _build(cfg)
     bcfg = cfg["bounds"]
     seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
     levels = cfg["truncation_levels"]
@@ -395,9 +396,13 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
                                  workers=workers)
     rows = [(rep.check, mid, fam.level, grid.steps, m_paths, seed, rep.param,
              rep.lhs, rep.se, rep.rhs, rep.margin, rep.passed) for rep in reports]
-    scaling = invcov_moment_scaling(fam, bcfg["t_grid"], bcfg["p_list"],
+    # for Brownian and OU dynamics the slope is fitted on the untruncated
+    # process, whose Q(t) is deterministic, so the row can be judged exactly
+    process = model if _is_linear(model) else fam
+    scaling = invcov_moment_scaling(process, bcfg["t_grid"], bcfg["p_list"],
                                     m_paths, steps=bcfg["invcov_steps"],
                                     seed=seed, workers=workers)
+    passes = invcov_slope_passes(process, scaling, bcfg["t_grid"], bcfg["invcov_steps"])
     for i, p in enumerate(scaling.p_list):
         refs = invcov_reference_slopes(fam.dim, p)
         rows.append(("invcov_slope", mid, fam.level, bcfg["invcov_steps"],
@@ -405,7 +410,7 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
                      f"p={p};hyp={refs['moment_hypothesis']:g};"
                      f"app={refs['appendix_lemma']:g}",
                      scaling.slopes[i], 0.0, refs["constant_sigma"],
-                     refs["constant_sigma"] - scaling.slopes[i], True))
+                     refs["constant_sigma"] - scaling.slopes[i], passes[i]))
     all_pass = all(bool(r[-1]) for r in rows)
     f = outdir / "bounds.csv"
     write_csv(f, ["check", "model", "n", "N", "M", "seed", "param", "lhs",

@@ -18,6 +18,13 @@ first-order weights:
     rows of G, i.e. as d directional derivatives; since Q = dt S_N they come
     from one forward tangent-linear pass of the S recursion, with no stored
     per-step tangents and no backward pass.
+Inside this module the per-step quantities (sigma, grad sigma, A, its
+derivative E, the suffix products P, S and G) are held batch last, as
+contiguous (N, d, ..., B) arrays: each of the N steps then contracts whole
+(d, ..., B) slices, so a step costs a few vector operations of length B
+instead of B tiny matrix products.  Each array is transposed once, where it
+is made, and only its batch-last copy is kept; the results (`flow`'s X and
+S, every `ChainBatch` field) have the batch axis first.
 Iterated weights H_(i1,i2) = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j>
 additionally need one directional derivative of the inner weight, along
 w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; it is obtained by one complex step
@@ -26,7 +33,7 @@ through the (everywhere complex-analytic) first-order pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,124 +55,144 @@ class DegenerateCovarianceError(RuntimeError):
 
 @dataclass
 class ChainBatch:
-    """All per-path quantities needed by the weight formulas.
+    """The per-path quantities the weight formulas read, batch axis first.
 
     Shapes (B = paths, N = steps, d = dim):
-      X (B,N+1,d), sig/A (B,N,d,d), E (B,N,d,d,d), P (B,N+1,d,d),
-      G (B,N,d,d) with G[b,k,i,a] = dX_N^i / dW_k^a,
-      Q = dt S_N and Qinv (B,d,d), det_q (B,), delta (B,d) = divergence of row j of DX,
+      dW (B,N,d), X (B,N+1,d),
+      G (B,N,d,d) with G[b,k,i,a] = dX_N^i / dW_k^a (a view of the
+        batch-last array the chain is built from),
+      Q = dt S_N and Qinv (B,d,d), det_q and degenerate (B,),
+      delta (B,d) = divergence of row j of DX,
       gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a].
     """
 
     dt: float
     dW: np.ndarray
     X: np.ndarray
-    sig: np.ndarray
-    A: np.ndarray
-    E: np.ndarray
-    Js: np.ndarray
-    P: np.ndarray
     G: np.ndarray
     Q: np.ndarray
-    det_q: np.ndarray
     Qinv: np.ndarray
+    det_q: np.ndarray
     degenerate: np.ndarray
-    delta: np.ndarray = field(init=False)
-    gamma: np.ndarray = field(init=False)
+    delta: np.ndarray
+    gamma: np.ndarray
+
+
+def _last(a):
+    """a (B, ...) as a contiguous (..., B) array."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _first(a):
+    """a (..., B) as a contiguous (B, ...) array."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _steps(model, dt, dW):
+    """Euler states X (B,N+1,d), grad sigma Js (B,N,d,d,d) and, batch last,
+    sigma (N,d,d,B) and the step Jacobians A (N,d,d,B)."""
+    d = dW.shape[-1]
+    X = euler_states(model, dt, dW)
+    Xk = X[:, :-1, :]
+    Js = model.diffusion_jac(Xk)
+    A = model.drift_jac(Xk) * dt
+    A += np.eye(d, dtype=dW.dtype)
+    A += np.einsum("bnilp,bnl->bnip", Js, dW)
+    return X, Js, _last(model.diffusion(Xk)), _last(A)
+
+
+def _covariances(A, sig):
+    """S (N+1,d,d,B) from S_0 = 0, S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T."""
+    N, d, _, B = A.shape
+    S = np.zeros((N + 1, d, d, B), dtype=A.dtype)
+    for m in range(N):
+        S[m + 1] = (np.einsum("ipb,pqb,rqb->irb", A[m], S[m], A[m])
+                    + np.einsum("ilb,qlb->iqb", sig[m], sig[m]))
+    return S
 
 
 def flow(model, dt, dW):
-    """(X, sig, Js, A, S) of a batch dW (B,N,d): Euler states, sigma, grad sigma
-    and the step Jacobians A_m, and S (B,N+1,d,d) from S_0 = 0,
-    S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T, so Q(t_k) = dt S_k."""
+    """(X, S) of a batch dW (B,N,d): the Euler states X (B,N+1,d) and
+    S (B,N+1,d,d) from S_0 = 0, S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T
+    with A_m the step Jacobians, so Q(t_k) = dt S_k."""
     dW = np.asarray(dW)
-    B, N, d = dW.shape
-    X = euler_states(model, dt, dW)
-    Xk = X[:, :-1, :]
-    sig = model.diffusion(Xk)
-    Js = model.diffusion_jac(Xk)
-    A = np.eye(d, dtype=dW.dtype) + model.drift_jac(Xk) * dt + np.einsum("bnilp,bnl->bnip", Js, dW)
-    S = np.zeros((B, N + 1, d, d), dtype=dW.dtype)
-    for m in range(N):
-        AS = A[:, m] @ S[:, m]
-        S[:, m + 1] = AS @ np.swapaxes(A[:, m], -1, -2) + sig[:, m] @ np.swapaxes(sig[:, m], -1, -2)
-    return X, sig, Js, A, S
-
-
-def _suffix_products(A):
-    B, N, d, _ = A.shape
-    P = np.empty((B, N + 1, d, d), dtype=A.dtype)
-    P[:, N] = np.eye(d, dtype=A.dtype)
-    for m in range(N - 1, -1, -1):
-        P[:, m] = P[:, m + 1] @ A[:, m]
-    return P
+    X, _, sig, A = _steps(model, dt, dW)
+    return X, np.moveaxis(_covariances(A, sig), -1, 0)
 
 
 def chain_batch(model, dt, dW) -> ChainBatch:
-    """Every ChainBatch field from one `flow` pass and one suffix product.
+    """Every ChainBatch field from one Euler pass, one S recursion and one
+    suffix product.
 
     Accepts complex dW; every operation is complex-analytic so the whole
     object supports complex-step differentiation.
     """
     dW = np.asarray(dW)
-    X, sig, Js, A, S = flow(model, dt, dW)
+    _, N, d = dW.shape
+    X, Js, sig, A = _steps(model, dt, dW)
+    S = _covariances(A, sig)
     Xk = X[:, :-1, :]
-    # E[b,n,i,p,q] = d(A_n)_{ip} / dX_n^q
-    E = (model.drift_hess(Xk) * dt
-         + np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW))
-    P = _suffix_products(A)
-    G = np.einsum("bnij,bnjl->bnil", P[:, 1:], sig)
-    Q = dt * S[:, -1]
+    # E[n,i,p,q,b] = d(A_n)_{ip} / dX_n^q
+    E = model.drift_hess(Xk) * dt
+    E += np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW)
+    E = _last(E)
+    Js = _last(Js)
+    # P[m] = P_{m+1} = A_{N-1} ... A_{m+1}, so G_m = P[m] sigma_m
+    P = np.empty_like(A)
+    P[-1] = np.eye(d, dtype=A.dtype)[..., None]
+    for m in range(N - 1, 0, -1):
+        P[m - 1] = np.einsum("ipb,pjb->ijb", P[m], A[m])
+    G = np.einsum("nijb,njlb->nilb", P, sig)
+    Q = _first(dt * S[-1])
 
     det_q = np.linalg.det(Q)
     diag_prod = np.prod(np.real(np.diagonal(Q, axis1=-2, axis2=-1)), axis=-1)
     degenerate = ~(np.real(det_q) > DET_Q_RTOL * diag_prod)
-    Q_safe = np.where(degenerate[:, None, None], np.eye(dW.shape[-1], dtype=dW.dtype), Q)
+    Q_safe = np.where(degenerate[:, None, None], np.eye(d, dtype=dW.dtype), Q)
     Qinv = np.linalg.inv(Q_safe)
 
-    ch = ChainBatch(dt=dt, dW=dW, X=X, sig=sig, A=A, E=E, Js=Js, P=P, G=G,
-                    Q=Q, det_q=det_q, Qinv=Qinv, degenerate=degenerate)
-    ch.delta = _row_divergences(ch, S)
-    ch.gamma = _cov_row_derivatives(ch, S)
-    return ch
+    delta = _row_divergences(dt, dW, G, P, E, S)
+    gamma = _cov_row_derivatives(dt, G, sig, Js, A, E, S)
+    return ChainBatch(dt=dt, dW=dW, X=X, G=np.moveaxis(G, -1, 0), Q=Q, Qinv=Qinv,
+                      det_q=det_q, degenerate=degenerate, delta=delta, gamma=gamma)
 
 
-def _row_divergences(ch: ChainBatch, S):
-    """delta_j = sum_k G[k,j,:].dW_k - dt * sum_{k,a} D_k^a G[k,j,a].
+def _row_divergences(dt, dW, G, P, E, S):
+    """delta (B,d): delta_j = sum_k G[k,j,:].dW_k - dt * sum_{k,a} D_k^a G[k,j,a],
+    from the batch-last G, P, E and S of `chain_batch`.
 
-    The trace part is sum_m Lambda_m(S_m) with S from `flow`
-    (S_m = sum_{k<m} D_kX_m (D_kX_m)^T) and
-    Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.
+    The trace part is sum_m Lambda_m(S_m) with S_m = sum_{k<m} D_kX_m (D_kX_m)^T
+    and Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.
     """
-    diag2 = np.einsum("bmjq,bmqrp,bmrp->bj", ch.P[:, 1:], ch.E, S[:, :-1])
-    ito = np.einsum("bkja,bka->bj", ch.G, ch.dW)
-    return ito - ch.dt * diag2
+    diag2 = np.einsum("mjqb,mqrpb,mrpb->jb", P, E, S[:-1])
+    ito = np.einsum("kjab,bka->jb", G, dW)
+    return _first(ito - dt * diag2)
 
 
-def _cov_row_derivatives(ch: ChainBatch, S):
-    """gamma[b,j] = directional derivative of Q along v^j_{k,a} = dt G[b,k,j,a].
+def _cov_row_derivatives(dt, G, sig, Js, A, E, S):
+    """gamma (B,d,d,d): gamma[b,j] = directional derivative of Q along
+    v^j_{k,a} = dt G[b,k,j,a], from the batch-last arrays of `chain_batch`.
 
     Q = dt S_N, so gamma[b,j] = dt tS_N with tS the tangent of the S
-    recursion along v^j, given S from `flow`.  One forward pass carries tS
-    and the state tangent tX for all d directions:
+    recursion along v^j.  One forward pass carries tS and the state tangent
+    tX for all d directions:
       tA = E.tX + Js.v_m,  tsig = Js.tX,  M = tA S_m A^T + tsig sig^T,
       tS_{m+1} = A tS A^T + M + M^T,  tX_{m+1} = A tX + sig v_m.
     """
-    B, N, d = ch.dW.shape
-    tX = np.zeros((B, d, d), dtype=ch.dW.dtype)     # (B, j, i)
-    tS = np.zeros((B, d, d, d), dtype=ch.dW.dtype)  # (B, j, i, q)
+    N, d, _, B = sig.shape
+    tX = np.zeros((d, d, B), dtype=sig.dtype)     # (j, i, b)
+    tS = np.zeros((d, d, d, B), dtype=sig.dtype)  # (j, i, q, b)
     for m in range(N):
-        A, sig, Js = ch.A[:, m], ch.sig[:, m], ch.Js[:, m]
-        v = ch.dt * ch.G[:, m]                       # (B, j, a)
-        tA = (np.einsum("bipq,bjq->bjip", ch.E[:, m], tX)
-              + np.einsum("bilp,bjl->bjip", Js, v))
-        tsig = np.einsum("bilp,bjp->bjil", Js, tX)
-        M = (np.einsum("bjip,bpr,bqr->bjiq", tA, S[:, m], A, optimize=True)
-             + np.einsum("bjil,bql->bjiq", tsig, sig))
-        tS = (np.einsum("bip,bjpq,brq->bjir", A, tS, A, optimize=True)
-              + M + np.swapaxes(M, -1, -2))
-        tX = np.einsum("bip,bjp->bji", A, tX) + np.einsum("bil,bjl->bji", sig, v)
-    return ch.dt * tS
+        v = dt * G[m]                              # (j, a, b)
+        tA = (np.einsum("ipqb,jqb->jipb", E[m], tX)
+              + np.einsum("ilpb,jlb->jipb", Js[m], v))
+        tsig = np.einsum("ilpb,jpb->jilb", Js[m], tX)
+        M = (np.einsum("jipb,prb,qrb->jiqb", tA, S[m], A[m])
+             + np.einsum("jilb,qlb->jiqb", tsig, sig[m]))
+        tS = (np.einsum("ipb,jpqb,rqb->jirb", A[m], tS, A[m])
+              + M + np.swapaxes(M, 1, 2))
+        tX = np.einsum("ipb,jpb->jib", A[m], tX) + np.einsum("ilb,jlb->jib", sig[m], v)
+    return _first(dt * tS)
 
 
 # ---------------------------------------------------------------------------

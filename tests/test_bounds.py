@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from malsde.bounds import (
     exp_moment_check,
     fit_generator_constants,
     generator_violations,
+    invcov_exact_slope,
     invcov_moment_scaling,
     invcov_reference_slopes,
+    invcov_slope_passes,
     tail_check,
     truncation_convergence,
 )
@@ -368,6 +372,37 @@ def test_invcov_diag_diffusion_2d_slope():
     # [DERIVED] det Q = 4 t^2, matching the constant-sigma exponent -dp
     assert sc.slopes[0] == pytest.approx(invcov_reference_slopes(2, 2)["constant_sigma"],
                                          abs=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_invcov_exact_slope_of_linear_models(kappa):
+    times, steps = np.geomspace(0.1, 1.0, 5), 16
+    bm = BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=1.5)
+    # [DERIVED] det Q = (sigma0^2 t)^d for Brownian motion
+    assert invcov_exact_slope(bm, times, 2, steps) == pytest.approx(-4.0, abs=1e-12)
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=kappa,
+                                mu=[0.0], sigma0=1.0)
+    sc = invcov_moment_scaling(TruncationFamily(ou, 8.0), times, (2, 4), 300, steps=steps)
+    for p, slope in zip((2, 4), sc.slopes):
+        # Q is deterministic, so the Monte Carlo fit is exact up to round-off
+        assert abs(slope - invcov_exact_slope(ou, times, p, steps)) <= 1e-12
+
+
+def test_invcov_slope_passes_judges_untruncated_linear_fits_only():
+    times, steps = np.geomspace(0.1, 1.0, 5), 16
+    # x0 far outside the level-1 ball: the family's paths all leave it
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[3.0], horizon=1.0, kappa=2.0,
+                                mu=[0.0], sigma0=1.0)
+    fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
+    assert invcov_slope_passes(ou, fit, times, steps) == [True, True]
+    off = dataclasses.replace(fit, slopes=fit.slopes + [0.0, 1e-6])
+    assert invcov_slope_passes(ou, off, times, steps) == [True, False]
+    # under the truncation Q is random, so the fit is off the exact slope
+    # and the row is reported, not judged
+    fam = TruncationFamily(ou, 1.0)
+    fam_fit = invcov_moment_scaling(fam, times, (2, 4), 300, steps=steps)
+    assert np.all(np.abs(fam_fit.slopes - fit.slopes) > 1e-6)
+    assert invcov_slope_passes(fam, fam_fit, times, steps) == [True, True]
 
 
 def test_invcov_nonlinear_reported_band(dw1):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import malsde
 import malsde.bounds
+import malsde.cli
 import malsde.rng
 from malsde.cli import ConfigError, load_config, main
 from malsde.parallel import map_chunks
@@ -312,3 +314,40 @@ def test_bounds_worker_count_invariance(tmp_path):
     a_csv = (a / "bounds.csv").read_bytes()
     assert a_csv == (b / "bounds.csv").read_bytes()
     assert a_csv.count(b"\ndnorm,") == 2 and a_csv.count(b"\ncovQ,") == 1
+
+
+def test_invcov_slope_row_fails_off_the_exact_slope(tmp_path, monkeypatch):
+    # for OU, Q is deterministic: the fitted slope must be the exact Euler-chain
+    # slope, so a planted offset of 1e-6 is a failed check
+    common = ["bounds", "--set", "paths=2000", "--set", "grid.steps=16"]
+    ok, bad = tmp_path / "ok", tmp_path / "bad"
+    ok.mkdir(), bad.mkdir()
+    assert _run(common + ["--out", ok]) == 0
+    fitted = malsde.cli.invcov_moment_scaling
+
+    def planted(*args, **kwargs):
+        sc = fitted(*args, **kwargs)
+        return dataclasses.replace(sc, slopes=sc.slopes + 1e-6)
+
+    monkeypatch.setattr(malsde.cli, "invcov_moment_scaling", planted)
+    assert _run(common + ["--out", bad]) == 1
+    for out, passed in ((ok, "1"), (bad, "0")):
+        with open(out / "bounds.csv") as f:
+            rows = [r for r in csv.DictReader(f) if r["check"] == "invcov_slope"]
+        assert len(rows) == 2 and all(r["pass"] == passed for r in rows)
+
+
+def test_invcov_slope_row_passes_when_paths_leave_the_ball(tmp_path):
+    # OU paths from x0 = 0.5 leave the level-1 ball, where the truncation
+    # makes Q random; the slope is fitted on the untruncated process, so the
+    # exact check still holds and the level-8 slope is reproduced
+    args = ["bounds", "--set", "paths=2000", "--set", "grid.steps=16"]
+    outs = {}
+    for level in (1.0, 8.0):
+        out = tmp_path / str(level)
+        out.mkdir()
+        assert _run(args + ["--set", f"truncation_level={level}", "--out", out]) == 0
+        with open(out / "bounds.csv") as f:
+            outs[level] = [r for r in csv.DictReader(f) if r["check"] == "invcov_slope"]
+    assert all(r["pass"] == "1" for r in outs[1.0])
+    assert [r["lhs"] for r in outs[1.0]] == [r["lhs"] for r in outs[8.0]]

@@ -96,12 +96,40 @@ def test_double_well_chain_matches_fd(dw1):
 
 
 def test_flow_factorization_consistency(dw2):
-    # G_k equals (flow from k+1 to N) sigma(X_k) to relative error 1e-10
+    # G_k equals (flow from k+1 to N) sigma(X_k) to relative error 1e-10,
+    # with the flow P_{k+1} = A_{N-1} ... A_{k+1} built here from the
+    # model's step Jacobians A_m = I + grad b dt + grad sigma dW_m
     fam, grid, dW = _path(dw2, 4.0, 32, seed=2)
     ch = _flow(fam, grid, dW)
-    for k in range(grid.steps):
-        fac = ch.P[0, k + 1] @ fam.diffusion(ch.X[0, k])
+    X = ch.X[0]
+    P = np.eye(2)
+    for k in reversed(range(grid.steps)):
+        fac = P @ fam.diffusion(X[k])
         assert np.allclose(fac, ch.G[0, k], rtol=1e-10, atol=1e-13)
+        A = (np.eye(2) + fam.drift_jac(X[k]) * grid.dt
+             + np.einsum("ilp,l->ip", fam.diffusion_jac(X[k]), dW[k]))
+        P = P @ A
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+def test_chain_is_batch_independent(dw2, step):
+    # every path of a batch is the same as that path alone; with B = d = 2 a
+    # batch index swapped with a coordinate index raises no shape error
+    fam = TruncationFamily(dw2, 0.3)
+    grid = TimeGrid(dw2.horizon, 16)
+    dW = sample_noise_block(grid, 4, 0, 2, dw2.dim)
+    if step:
+        dW = dW + 1j * step * dW[::-1, ::-1]
+    ch = chain_batch(fam, grid.dt, dW)
+    assert np.all(np.any(np.linalg.norm(ch.X.real, axis=-1) > 0.3, axis=1))
+    for b in range(2):
+        one = chain_batch(fam, grid.dt, dW[b:b + 1])
+        for name in ("X", "G", "Q", "delta", "gamma"):
+            for part in (np.real, np.imag) if step else (np.real,):
+                got, want = part(getattr(ch, name)[b]), part(getattr(one, name)[0])
+                scale = np.max(np.abs(want))
+                assert scale > 0 and np.max(np.abs(got - want)) <= 1e-15 * scale, (
+                    name, part.__name__, b)
 
 
 # ---------------------------------------------------------------------------
