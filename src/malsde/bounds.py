@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import gaussian_law
 from .malliavin import DegenerateCovarianceError, flow
@@ -346,6 +345,17 @@ class InvCovScaling:
     ess_warnings: list
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of a finite 1-d array, shifted by its max.  As in
+    scipy.special.logsumexp, the m terms equal to the max are split out of
+    the sum: log1p(s / m) + log(m) + max."""
+    a_max = np.max(a)
+    is_max = a == a_max
+    m = float(np.count_nonzero(is_max))
+    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
+
+
 def _logdet_chunk(fam, times, steps, seed, lo, hi):
     """log det Q(t) of paths lo..hi-1, one row per t.  One standard normal
     draw, times sqrt(dt), is bitwise each t's `sample_noise_block` draw."""
@@ -381,9 +391,9 @@ def invcov_moment_scaling(fam, times, p_list, n_paths: int, steps: int = 32,
     for j, (t, ld) in enumerate(zip(times, lds)):
         for i, p in enumerate(p_list):
             terms = -p * ld
-            log_m[i, j] = logsumexp(terms) - np.log(len(terms))
+            log_m[i, j] = _logsumexp(terms) - np.log(len(terms))
             top = np.sort(terms)[-max(1, len(terms) // 100):]
-            share = np.exp(logsumexp(top) - logsumexp(terms))
+            share = np.exp(_logsumexp(top) - _logsumexp(terms))
             if share > 0.5:
                 ess_warnings.append((float(t), float(p), float(share)))
                 warnings.warn(
@@ -403,21 +413,27 @@ def invcov_exact_slope(model, times, p, steps: int) -> float:
     return float(np.polyfit(np.log(times), log_m, 1)[0])
 
 
-def invcov_slope_passes(process, scaling: InvCovScaling, times, steps: int) -> list:
-    """Pass flag per p of an `invcov_moment_scaling` fit of `process`.
+def invcov_slope_checks(process, scaling: InvCovScaling, times, steps: int) -> list:
+    """(rhs, margin, passed) per p of an `invcov_moment_scaling` fit of `process`.
 
     For untruncated Brownian or OU dynamics Q(t) is deterministic, so the
-    fitted slope must be `invcov_exact_slope` up to round-off.  A truncation
-    family bends the drift of paths that leave its ball, so Q is random there,
-    and no exact slope is known for the nonlinear models: those rows pass.
+    fitted slope must be `invcov_exact_slope` (the rhs) up to round-off: the
+    margin is the tolerance left, `_INVCOV_SLOPE_RTOL max(1, |rhs|) - |lhs - rhs|`,
+    and the row passes iff it is >= 0.  A truncation family bends the drift of
+    paths that leave its ball, so Q is random there, and no exact slope is
+    known for the nonlinear models: those rows report the constant-sigma
+    exponent -d p as rhs, margin rhs - lhs, and pass.
     """
-    if not isinstance(process, (BrownianModel, OrnsteinUhlenbeckModel)):
-        return [True] * len(scaling.p_list)
-    passes = []
+    checks = []
     for p, slope in zip(scaling.p_list, scaling.slopes):
-        exact = invcov_exact_slope(process, times, p, steps)
-        passes.append(bool(abs(slope - exact) <= _INVCOV_SLOPE_RTOL * max(1.0, abs(exact))))
-    return passes
+        if isinstance(process, (BrownianModel, OrnsteinUhlenbeckModel)):
+            rhs = invcov_exact_slope(process, times, p, steps)
+            margin = _INVCOV_SLOPE_RTOL * max(1.0, abs(rhs)) - abs(slope - rhs)
+            checks.append((rhs, margin, bool(margin >= 0)))
+        else:
+            rhs = invcov_reference_slopes(process.dim, p)["constant_sigma"]
+            checks.append((rhs, rhs - slope, True))
+    return checks
 
 
 def invcov_reference_slopes(dim: int, p: float) -> dict:

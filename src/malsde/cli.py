@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 import scipy
 
 from . import __version__
@@ -30,7 +29,7 @@ from .bounds import (
     fit_generator_constants,
     invcov_moment_scaling,
     invcov_reference_slopes,
-    invcov_slope_passes,
+    invcov_slope_checks,
     truncation_convergence,
 )
 from .density import (
@@ -191,6 +190,67 @@ DEFAULT_CONFIG = {
 }
 
 
+def _is_type(value, name: str) -> bool:
+    """JSON Schema types; an integral float counts as an integer, a bool as
+    neither integer nor number."""
+    if name == "object":
+        return isinstance(value, dict)
+    if name == "array":
+        return isinstance(value, list)
+    if name == "boolean":
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _schema_errors(value, schema: dict, path=()):
+    """(path, message) of each violation of the JSON Schema subset that
+    CONFIG_SCHEMA uses, keyword by keyword in schema order, worded as
+    jsonschema words them."""
+    for key, arg in schema.items():
+        if key == "type" and not _is_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, path + (name,))
+            elif key == "additionalProperties" and not arg:
+                extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            elif key == "required":
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (i,))
+            elif key == "minItems" and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif _is_type(value, "number"):
+            if key == "minimum" and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "exclusiveMinimum" and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+
+
+def _validate(cfg: dict) -> None:
+    """Raise ConfigError for the violation jsonschema's best_match would name:
+    the shallowest path, then the greatest path, then the first found."""
+    errors = list(_schema_errors(cfg, CONFIG_SCHEMA))
+    if errors:
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        loc = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {message}")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
@@ -244,11 +304,7 @@ def load_config(path: str | None, overrides, seed=None, workers=None) -> dict:
         cfg["seed"] = seed
     if workers is not None:
         cfg["workers"] = workers
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: {e.message}") from e
+    _validate(cfg)
     return cfg
 
 
@@ -402,15 +458,14 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
     scaling = invcov_moment_scaling(process, bcfg["t_grid"], bcfg["p_list"],
                                     m_paths, steps=bcfg["invcov_steps"],
                                     seed=seed, workers=workers)
-    passes = invcov_slope_passes(process, scaling, bcfg["t_grid"], bcfg["invcov_steps"])
-    for i, p in enumerate(scaling.p_list):
+    checks = invcov_slope_checks(process, scaling, bcfg["t_grid"], bcfg["invcov_steps"])
+    for p, slope, (rhs, margin, passed) in zip(scaling.p_list, scaling.slopes, checks):
         refs = invcov_reference_slopes(fam.dim, p)
         rows.append(("invcov_slope", mid, fam.level, bcfg["invcov_steps"],
                      m_paths, seed,
                      f"p={p};hyp={refs['moment_hypothesis']:g};"
                      f"app={refs['appendix_lemma']:g}",
-                     scaling.slopes[i], 0.0, refs["constant_sigma"],
-                     refs["constant_sigma"] - scaling.slopes[i], passes[i]))
+                     slope, 0.0, rhs, margin, passed))
     all_pass = all(bool(r[-1]) for r in rows)
     f = outdir / "bounds.csv"
     write_csv(f, ["check", "model", "n", "N", "M", "seed", "param", "lhs",

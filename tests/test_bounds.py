@@ -10,6 +10,7 @@ from malsde.bounds import (
     _cov_chunk,
     _exp_etas,
     _logdet_chunk,
+    _logsumexp,
     covQ_moment_check,
     exp_moment_check,
     fit_generator_constants,
@@ -17,7 +18,7 @@ from malsde.bounds import (
     invcov_exact_slope,
     invcov_moment_scaling,
     invcov_reference_slopes,
-    invcov_slope_passes,
+    invcov_slope_checks,
     tail_check,
     truncation_convergence,
 )
@@ -394,15 +395,48 @@ def test_invcov_slope_passes_judges_untruncated_linear_fits_only():
     ou = OrnsteinUhlenbeckModel(dim=1, x0=[3.0], horizon=1.0, kappa=2.0,
                                 mu=[0.0], sigma0=1.0)
     fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
-    assert invcov_slope_passes(ou, fit, times, steps) == [True, True]
+    assert [c[2] for c in invcov_slope_checks(ou, fit, times, steps)] == [True, True]
     off = dataclasses.replace(fit, slopes=fit.slopes + [0.0, 1e-6])
-    assert invcov_slope_passes(ou, off, times, steps) == [True, False]
+    assert [c[2] for c in invcov_slope_checks(ou, off, times, steps)] == [True, False]
     # under the truncation Q is random, so the fit is off the exact slope
     # and the row is reported, not judged
     fam = TruncationFamily(ou, 1.0)
     fam_fit = invcov_moment_scaling(fam, times, (2, 4), 300, steps=steps)
     assert np.all(np.abs(fam_fit.slopes - fit.slopes) > 1e-6)
-    assert invcov_slope_passes(fam, fam_fit, times, steps) == [True, True]
+    assert [c[2] for c in invcov_slope_checks(fam, fam_fit, times, steps)] == [True, True]
+
+
+def test_invcov_slope_margin_is_the_tolerance_left():
+    # rhs is the exact slope the row is judged against, and margin >= 0
+    # exactly when the row passes
+    times, steps = np.geomspace(0.1, 1.0, 5), 16
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+                                mu=[0.0], sigma0=1.0)
+    fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
+    exact = [invcov_exact_slope(ou, times, p, steps) for p in (2, 4)]
+    tol = [malsde.bounds._INVCOV_SLOPE_RTOL * max(1.0, abs(e)) for e in exact]
+    for rhs, margin, passed in invcov_slope_checks(ou, fit, times, steps):
+        assert margin >= 0 and passed
+    assert [c[0] for c in invcov_slope_checks(ou, fit, times, steps)] == exact
+    off = dataclasses.replace(fit, slopes=np.array(exact) + [1.5 * tol[0], -1.5 * tol[1]])
+    for (rhs, margin, passed), t in zip(invcov_slope_checks(ou, off, times, steps), tol):
+        assert margin == pytest.approx(-0.5 * t, rel=1e-6) and not passed
+    # nonlinear rows keep the constant-sigma reference and pass
+    dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 4.0)
+    assert invcov_slope_checks(dw, off, times, steps) == [
+        (-2, -2 - off.slopes[0], True), (-4, -4 - off.slopes[1], True)]
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.5, 2.0])
+def test_logsumexp_matches_scipy_on_heavy_tailed_terms(shape):
+    # -p log det Q with det Q ~ Gamma(shape): small shapes put a few huge terms
+    # on top, the regime the invcov ESS alarm watches
+    from scipy.special import logsumexp
+    ld = np.log(np.random.default_rng(5).gamma(shape, size=20000))
+    for p in (2, 4):
+        terms = -p * ld
+        for a in (terms, np.sort(terms)[-200:], np.array([terms[0]] * 3 + [terms[1]])):
+            assert _logsumexp(a) == pytest.approx(logsumexp(a), rel=1e-13, abs=0)
 
 
 def test_invcov_nonlinear_reported_band(dw1):

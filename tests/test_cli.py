@@ -105,6 +105,46 @@ def test_exit_code_config_error(tmp_path):
                  "--set", "model.id=unknown-model"]) == 2
 
 
+# the messages jsonschema's `validate` gave for these configs
+@pytest.mark.parametrize("overrides, message", [
+    (["paths=abc"], "paths: 'abc' is not of type 'integer'"),
+    (["seed=true"], "seed: True is not of type 'integer'"),
+    (["paths=2000.5"], "paths: 2000.5 is not of type 'integer'"),
+    (["density=[]"], "density: [] is not of type 'object'"),
+    (["density.envelope=1"], "density/envelope: 1 is not of type 'boolean'"),
+    (["bogus=1"], "<root>: Additional properties are not allowed ('bogus' was unexpected)"),
+    (["bogus=1", "zzz=2"],
+     "<root>: Additional properties are not allowed ('bogus', 'zzz' were unexpected)"),
+    (["truncation_levels=[]"], "truncation_levels: [] should be non-empty"),
+    (["density.alphas=[[0]]"], "density/alphas/0/0: 0 is less than the minimum of 1"),
+    (["bounds.zeta_list=[0]"],
+     "bounds/zeta_list/0: 0 is less than or equal to the minimum of 0"),
+    (['oracle.functions=["sin"]'], "oracle/functions/0: 'sin' is not one of ['cos', 'bump']"),
+    (["model.id=unknown-model"], "model/id: 'unknown-model' is not one of "
+                                 "['bm', 'ou', 'double-well-1d', 'double-well-2d']"),
+    (['grid={"horizon":1.0}'], "grid: 'steps' is a required property"),
+    (['model={"params":{}}'], "model: 'id' is a required property"),
+    (["converge.halving_steps=[0.5]"], "converge/halving_steps/0: 0.5 is not of type 'integer'"),
+    # several faults: the shallowest path, then the greatest, then the first found
+    (["paths=abc", "seed=x"], "seed: 'x' is not of type 'integer'"),
+    (["paths=abc", "grid.steps=x"], "paths: 'abc' is not of type 'integer'"),
+    (['grid={"horizon":1.0,"x":2}'],
+     "grid: Additional properties are not allowed ('x' was unexpected)"),
+])
+def test_config_error_messages(tmp_path, capsys, overrides, message):
+    args = [a for o in overrides for a in ("--set", o)]
+    assert _run(["simulate", "--out", tmp_path, *args]) == 2
+    assert capsys.readouterr().err == f"config error: config invalid at {message}\n"
+
+
+@pytest.mark.parametrize("override", [
+    # integral floats are integers, as in JSON Schema
+    "paths=2000.0", "seed=1e3", "truncation_level=Infinity", "bounds.zeta_list=[1e-300]",
+])
+def test_config_edge_values_accepted(override):
+    load_config(None, [override])
+
+
 def test_exit_code_numerical_failure(tmp_path):
     # zero diffusion: every covariance matrix is singular
     code = _run(["density", "--out", tmp_path,
@@ -133,9 +173,11 @@ def test_density_linear_model_needs_no_kde(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the generator fit runs scipy.optimize; start-up should not pay for it
+    # only the generator fit runs scipy.optimize; start-up should not pay for
+    # it, nor for scipy.special or jsonschema, which the CLI does not use
     src = str(Path(malsde.__file__).parents[1])
-    code = "import sys, malsde.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, malsde.cli; sys.exit(sum(m in sys.modules for m in "
+            "('scipy.optimize', 'scipy.special', 'jsonschema')))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -257,6 +299,7 @@ def test_exit_code_empty_check_list(tmp_path, sub, override, csv_name):
 @pytest.mark.parametrize("sub, override, csv_name", [
     ("bounds", "bounds.zeta_list=[0]", "bounds.csv"),
     ("bounds", "bounds.zeta_list=[-0.5]", "bounds.csv"),
+    ("bounds", "bounds.invcov_steps=0", "bounds.csv"),
     ("converge", "converge.halving_steps=[0,64]", "converge.csv"),
     ("density", "density.alphas=[[0]]", "density.csv"),
     ("density", "density.alphas=[[2]]", "density.csv"),
@@ -267,7 +310,8 @@ def test_exit_code_out_of_range_config(tmp_path, sub, override, csv_name):
     # zeta = 0 divides by zero in the exp-moment rate and a negative zeta gives
     # a meaningless bound; N = 0 halving steps divides by zero in the Euler law;
     # alpha coordinates are 1..d (0 would index the last coordinate from the
-    # end, and the 1-d defaults have no coordinate 2)
+    # end, and the 1-d defaults have no coordinate 2); invcov_steps = 0 draws
+    # an empty noise block before its time grid is rejected
     code = _run([sub, "--out", tmp_path, "--set", "paths=500",
                  "--set", "grid.steps=8", "--set", override])
     assert code == 2
@@ -335,6 +379,10 @@ def test_invcov_slope_row_fails_off_the_exact_slope(tmp_path, monkeypatch):
         with open(out / "bounds.csv") as f:
             rows = [r for r in csv.DictReader(f) if r["check"] == "invcov_slope"]
         assert len(rows) == 2 and all(r["pass"] == passed for r in rows)
+        # rhs is the exact slope, margin the tolerance left: negative iff failed
+        assert all((float(r["margin"]) >= 0) == (passed == "1") for r in rows)
+        assert all(float(r["rhs"]) == pytest.approx(float(r["lhs"]), abs=1e-5)
+                   for r in rows)
 
 
 def test_invcov_slope_row_passes_when_paths_leave_the_ball(tmp_path):

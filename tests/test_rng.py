@@ -43,3 +43,67 @@ def test_increment_moments():
 def test_empty_range_rejected():
     with pytest.raises(ValueError):
         rng.gaussian_increments(0, 5, 4, 1, 1, 1.0)
+
+
+_E2 = np.exp(-2.0)
+
+
+def _ulps(a, b):
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+def test_ndtri_central_branch_is_bitwise_scipy():
+    # same Cephes coefficients and operation order: only the tails may move
+    from scipy.special import ndtri
+    u = rng.uniforms(301, np.arange(2000), 640).ravel()
+    central = (u > rng._EXPM2) & (u <= 1.0 - rng._EXPM2)
+    assert central.sum() > 0.7 * u.size
+    assert np.array_equal(rng._ndtri(u)[central], ndtri(u)[central])
+
+
+def test_ndtri_tails_within_8_ulp_of_scipy():
+    # [DERIVED] the tails call numpy's log where scipy calls libm's; both are
+    # within a few ulp, and the rational in 1/x does not amplify the error
+    from scipy.special import ndtri
+    u = rng.uniforms(7, np.arange(2000), 640).ravel()
+    for tail in (u <= rng._EXPM2, u > 1.0 - rng._EXPM2):
+        assert tail.sum() > 1000
+        assert np.max(_ulps(rng._ndtri(u[tail]), ndtri(u[tail]))) <= 8
+
+
+@pytest.mark.parametrize("u", [
+    2.0 ** -54,                                       # smallest uniform
+    np.nextafter(1.0, 0.0),                           # largest uniform below 1
+    np.nextafter(_E2, 0.0), _E2, np.nextafter(_E2, 1.0),
+    np.nextafter(1.0 - _E2, 0.0), 1.0 - _E2, np.nextafter(1.0 - _E2, 1.0),
+    np.exp(-33.0),                                    # x >= 8 branch
+    1.0 - 2.0 ** -40,
+])
+def test_ndtri_edges_match_scipy(u):
+    from scipy.special import ndtri
+    x = rng._ndtri(np.array([u]))[0]
+    assert _ulps(x, ndtri(u)) <= 8
+
+
+def test_ndtri_at_zero_and_one_is_infinite():
+    # as scipy's; `uniforms` rounds (2^53 - 1 + 1/2) 2^-53 up to 1.0
+    x = rng._ndtri(np.array([0.0, 1.0, 0.5]))
+    assert x[0] == -np.inf and x[1] == np.inf and x[2] == 0.0
+
+
+@pytest.mark.parametrize("n_paths, steps, dim", [
+    (1200, 32, 2),          # several row blocks: the range straddles their edges
+    (3, 2 ** 14 + 3, 2),    # one path is more than one block
+])
+def test_rows_match_single_path_draws_across_blocks(n_paths, steps, dim):
+    lo = 3
+    block = rng.gaussian_increments(11, lo, lo + n_paths, steps, dim, dt=0.25)
+    # the unblocked map: every word of the range through uniforms and ndtri at once
+    u = rng.uniforms(11, np.arange(lo, lo + n_paths), steps * dim).ravel()
+    assert np.array_equal(block, (rng._ndtri(u) * np.sqrt(0.25)).reshape(block.shape))
+    rows = max(1, rng._BLOCK_WORDS // (steps * dim))
+    edges = range(rows, n_paths, rows)
+    assert len(edges) >= 2
+    for i in {0, n_paths - 1} | {e + k for e in edges for k in (-1, 0)}:
+        single = rng.gaussian_increments(11, lo + i, lo + i + 1, steps, dim, dt=0.25)[0]
+        assert np.array_equal(block[i], single)
