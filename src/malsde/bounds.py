@@ -21,6 +21,7 @@ from .models import (
     BrownianModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
+    _outside,
     generator_apply,
 )
 from .parallel import map_chunks
@@ -253,7 +254,7 @@ def _exits(fam, X):
     """Indices of the paths whose states X_0..X_{N-1} leave fam's ball (the
     clamp's own mask).  b_m = b_n bitwise inside the ball of radius m < n, so
     every other path is bitwise the same at any higher level n."""
-    return np.flatnonzero(np.any(fam._outside(X[:, :-1]), axis=1))
+    return np.flatnonzero(np.any(_outside(X[:, :-1], fam.level), axis=1))
 
 
 def _cov_values(fam, grid, dW, p_list, ks):

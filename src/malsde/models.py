@@ -232,11 +232,20 @@ class DoubleWell2DModel(SdeModel):
 
 
 # ---------------------------------------------------------------------------
-# Radial clamp and truncated drift family
+# Radial clamp and truncated drift family.  One real-part mask, `_outside`,
+# picks the points the clamp and the truncated derivatives act on; on the
+# ball kappa_n is the identity and costs only that mask.
 # ---------------------------------------------------------------------------
 
 def _radius(x):
     return np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _outside(x, n):
+    """The one truncation mask: points of x (..., d) with |Re x| > n.  It reads
+    only real parts, so a complex-step pass takes its real pass's branch."""
+    xr = np.real(x)
+    return np.sqrt(np.sum(xr * xr, axis=-1)) > n
 
 
 def clamp_point(x, n):
@@ -245,15 +254,19 @@ def clamp_point(x, n):
     The radial profile is g(r) = r on [0, n] and g(r) = n + tanh(r - n)
     beyond; it is C^2 at r = n (g(n) = n, g'(n) = 1, g''(n) = 0).  Range is
     contained in the closed ball of radius n + 1.  `x` may be complex (branch
-    on the real part of |x|).
+    on `_outside`).  Only the rows outside the ball are computed, into a copy
+    of x; when no point is outside, x itself is returned, not a copy.
     """
     x = np.asarray(x)
     n = float(n)
-    r = _radius(x)
-    out_mask = np.real(r) > n
-    r_out = np.where(out_mask, r, n + 1.0)  # safe argument for the outer branch
-    scale = np.where(out_mask, (n + np.tanh(r_out - n)) / r_out, 1.0 + 0.0 * r)
-    return x * scale[..., None]
+    out = _outside(x, n)
+    if not out.any():
+        return x
+    xo = x[out]
+    r = _radius(xo)
+    y = x.copy()
+    y[out] = xo * ((n + np.tanh(r - n)) / r)[..., None]
+    return y
 
 
 def clamp_derivatives(x, n):
@@ -294,8 +307,9 @@ class TruncationFamily:
     Exposes the same callable interface as SdeModel, so chains and weights can
     be built against a family exactly as against a raw model.  b_n agrees with
     b bitwise on the ball |x| <= n and is bounded by sup_{|y| <= n+1} |b(y)|.
-    Its derivatives are b's own on the ball; only the rows outside it go
-    through the chain rule with the clamp derivatives.
+    Its derivatives are b's own on the ball; only the rows outside it (one
+    real-part mask, `_outside`, shared with `clamp_point`) go through the
+    chain rule with the clamp derivatives.
     """
 
     def __init__(self, base: SdeModel, level: float):
@@ -308,16 +322,13 @@ class TruncationFamily:
         self.horizon = base.horizon
         self.constants = base.constants
 
-    def _outside(self, x):
-        return np.real(_radius(x)) > self.level
-
     def drift(self, x):
         return self.base.drift(clamp_point(x, self.level))
 
     def drift_jac(self, x):
         x = np.asarray(x)
         J = self.base.drift_jac(x)
-        out = self._outside(x)
+        out = _outside(x, self.level)
         if out.any():
             k, K1, _ = clamp_derivatives(x[out], self.level)
             J[out] = np.einsum("...iu,...up->...ip", self.base.drift_jac(k), K1)
@@ -326,7 +337,7 @@ class TruncationFamily:
     def drift_hess(self, x):
         x = np.asarray(x)
         H = self.base.drift_hess(x)
-        out = self._outside(x)
+        out = _outside(x, self.level)
         if out.any():
             k, K1, K2 = clamp_derivatives(x[out], self.level)
             H[out] = (

@@ -17,6 +17,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# the largest uniform: the largest double below 1, 1 - 2^-53
+_U_MAX = np.nextafter(1.0, 0.0)
+
 # words per row block of `gaussian_increments`: every temporary stays in cache
 _BLOCK_WORDS = 2 ** 15
 
@@ -78,13 +81,16 @@ def _stream_words(seed: int, path_ids: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def uniforms(seed: int, path_ids: np.ndarray, n: int) -> np.ndarray:
-    """Per-path uniforms in the open interval (0, 1), shape (paths, n)."""
+    """Per-path uniforms in [2^-54, 1 - 2^-53], inside the open interval
+    (0, 1), shape (paths, n)."""
     w = _stream_words(seed, np.asarray(path_ids, dtype=np.uint64), n)
-    # 53 significant bits, offset by half an ulp so 0 and 1 are excluded
+    # 53 significant bits k, u = (k + 1/2) 2^-53, so 0 is excluded; above 1/2
+    # the half rounds to even and the top word would give 1.0, so u is capped
     w >>= np.uint64(11)
     u = w.astype(np.float64)
     u += 0.5
     u *= 2.0 ** -53
+    np.minimum(u, _U_MAX, out=u)
     return u
 
 

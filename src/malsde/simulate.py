@@ -1,9 +1,10 @@
 """Euler chains for truncated SDEs with deterministic, parallel-safe noise.
 
-Noise and states are (paths, steps, dim) arrays.  A path's increments are a
-pure function of (seed, path id, grid, dim), so any path range can be
-regenerated bitwise independently of batch or worker layout; a single path
-is a batch of one.
+Noise and states are (paths, steps, dim) arrays.  `euler_states` builds the
+states step major, one contiguous (paths, dim) slice per step, and returns
+them as a batch-first view.  A path's increments are a pure function of
+(seed, path id, grid, dim), so any path range can be regenerated bitwise
+independently of batch or worker layout; a single path is a batch of one.
 """
 
 from __future__ import annotations
@@ -51,22 +52,25 @@ def sample_noise_block(grid: TimeGrid, seed: int, path_lo: int, path_hi: int, di
 def euler_states(model, dt: float, dW: np.ndarray) -> np.ndarray:
     """All Euler states X_0..X_N from model.x0 for a batch of increment arrays (B, N, d).
 
-    Returns (B, N+1, d).  `model` may be an SdeModel or a TruncationFamily.
-    Accepts complex dW (for complex-step sensitivities); blow-up checks only
-    apply to real input.
+    Returns (B, N+1, d), X[:, k] being state k.  The states are built step
+    major, in an (N+1, B, d) array, so each step reads and writes one
+    contiguous (B, d) slice; the result is a batch-first view of it, not a
+    copy.  `model` may be an SdeModel or a TruncationFamily.  Accepts complex
+    dW (for complex-step sensitivities); blow-up checks only apply to real
+    input.
     """
     dW = np.asarray(dW)
     B, N, d = dW.shape
-    X = np.empty((B, N + 1, d), dtype=dW.dtype)
-    X[:, 0, :] = model.x0
+    X = np.empty((N + 1, B, d), dtype=dW.dtype)
+    X[0] = model.x0
     real = not np.iscomplexobj(dW)
     for k in range(N):
-        xk = X[:, k, :]
-        step = model.drift(xk) * dt + np.einsum("...il,...l->...i", model.diffusion(xk), dW[:, k, :])
-        X[:, k + 1, :] = xk + step
-        if real and not np.all(np.isfinite(X[:, k + 1, :])):
+        xk = X[k]
+        step = model.drift(xk) * dt + np.einsum("...il,...l->...i", model.diffusion(xk), dW[:, k])
+        np.add(xk, step, out=X[k + 1])
+        if real and not np.all(np.isfinite(X[k + 1])):
             raise NumericalBlowupError(f"non-finite state at step {k + 1}")
-    return X
+    return np.swapaxes(X, 0, 1)
 
 
 def _moment_chunk(fam, grid: TimeGrid, seed: int, p_list, lo: int, hi: int):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malsde import models
 from malsde.models import (
     BrownianModel,
     DoubleWell1DModel,
@@ -168,6 +169,81 @@ def test_truncated_derivatives_base_inside_chain_rule_outside(step):
     for i, x in enumerate(xs):  # unbatched (d,) input
         assert np.array_equal(fam.drift_jac(x), J[i])
         assert np.array_equal(fam.drift_hess(x), H[i])
+
+
+# Reference mask and clamp, which the library's must match bit for bit: the
+# real part of the complex radius, and tanh and a divide on every point with a
+# scale of 1.0 + 0.0 r inside the ball.
+def _ref_outside(x, n):
+    return np.real(np.sqrt(np.sum(x * x, axis=-1))) > n
+
+
+def _ref_clamp_point(x, n):
+    x = np.asarray(x)
+    n = float(n)
+    r = np.sqrt(np.sum(x * x, axis=-1))
+    out_mask = np.real(r) > n
+    r_out = np.where(out_mask, r, n + 1.0)
+    scale = np.where(out_mask, (n + np.tanh(r_out - n)) / r_out, 1.0 + 0.0 * r)
+    return x * scale[..., None]
+
+
+def _mask_cases(d, n):
+    """Batches of (B, d) points: none outside |x| = n, all outside, a mix,
+    and points one ulp either side of the sphere along each axis."""
+    rng = np.random.default_rng(11 + d)
+    u = rng.standard_normal((64, d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    edge = []
+    for to in (np.inf, -np.inf, 0.0):
+        for p in range(d):
+            for sign in (1.0, -1.0):
+                x = np.zeros(d)
+                x[p] = sign * (np.nextafter(n, to) if to else n)
+                edge.append(x)
+    return {
+        "inside": u * rng.uniform(0.0, 0.99 * n, (64, 1)),
+        "outside": u * rng.uniform(1.01 * n, 40.0 * n, (64, 1)),
+        "mix": u * rng.uniform(0.0, 2.0 * n, (64, 1)),
+        "edge": np.array(edge),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+@pytest.mark.parametrize("case", ["inside", "outside", "mix", "edge"])
+def test_mask_and_clamp_bitwise_as_reference(monkeypatch, d, step, case):
+    n = 1.5
+    base = DoubleWell1DModel(x0=[0.0]) if d == 1 else DoubleWell2DModel()
+    fam = TruncationFamily(base, n)
+    xs = _mask_cases(d, n)[case]
+    if step:  # complex step: the mask must read the real part only
+        xs = xs + 1j * step * np.random.default_rng(5).standard_normal(xs.shape)
+    outside = _ref_outside(xs, n)
+    assert {"inside": not outside.any(), "outside": outside.all(),
+            "mix": 0 < outside.sum() < len(xs),
+            "edge": 0 < outside.sum() < len(xs)}[case]
+    assert np.array_equal(models._outside(xs, n), outside)
+    new = [clamp_point(xs, n), fam.drift(xs), fam.drift_jac(xs), fam.drift_hess(xs)]
+    monkeypatch.setattr(models, "_outside", _ref_outside)
+    monkeypatch.setattr(models, "clamp_point", _ref_clamp_point)
+    ref = [_ref_clamp_point(xs, n), fam.drift(xs), fam.drift_jac(xs), fam.drift_hess(xs)]
+    for got, want in zip(new, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+def test_clamp_returns_an_inside_batch_itself_and_drift_leaves_it(step):
+    base = DoubleWell2DModel()
+    fam = TruncationFamily(base, 1.5)
+    for case in ("inside", "mix"):
+        xs = _mask_cases(2, 1.5)[case]
+        if step:
+            xs = xs + 1j * step
+        keep = xs.copy()
+        assert (clamp_point(xs, 1.5) is xs) == (case == "inside")
+        fam.drift(xs)
+        assert np.array_equal(xs, keep)
 
 
 # ---------------------------------------------------------------------------

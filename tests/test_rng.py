@@ -16,6 +16,17 @@ def test_uniforms_deterministic_and_open_interval(seed, path, n):
     assert np.all(u1 > 0) and np.all(u1 < 1)
 
 
+def test_top_word_stays_below_one(monkeypatch):
+    # (2^53 - 1 + 1/2) 2^-53 rounds to 1.0, which ndtri maps to +inf
+    def all_ones(seed, path_ids, n_words):
+        return np.full((len(path_ids), n_words), 2**64 - 1, dtype=np.uint64)
+
+    monkeypatch.setattr(rng, "_stream_words", all_ones)
+    u = rng.uniforms(0, np.arange(2), 3)
+    assert np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(rng._ndtri(u.ravel())))
+
+
 def test_block_rows_match_single_path_draws():
     block = rng.gaussian_increments(7, 10, 20, steps=8, dim=2, dt=0.25)
     for i, pid in enumerate(range(10, 20)):
@@ -86,7 +97,7 @@ def test_ndtri_edges_match_scipy(u):
 
 
 def test_ndtri_at_zero_and_one_is_infinite():
-    # as scipy's; `uniforms` rounds (2^53 - 1 + 1/2) 2^-53 up to 1.0
+    # as scipy's; `uniforms` never returns 0 or 1
     x = rng._ndtri(np.array([0.0, 1.0, 0.5]))
     assert x[0] == -np.inf and x[1] == np.inf and x[2] == 0.0
 

@@ -7,6 +7,7 @@ from malsde.models import (
     DoubleWell1DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
+    _outside,
 )
 from malsde.simulate import (
     NumericalBlowupError,
@@ -90,6 +91,36 @@ def test_brownian_terminal_law_ks():
     xn = dW.sum(axis=1).ravel()
     stat = kstest(xn, "norm").statistic
     assert stat < 1.63 / np.sqrt(len(xn))  # 1% critical value
+
+
+def _euler_batch_first(model, dt, dW):
+    """The Euler loop on a batch-first (B, N+1, d) state array."""
+    B, N, d = dW.shape
+    X = np.empty((B, N + 1, d), dtype=dW.dtype)
+    X[:, 0, :] = model.x0
+    for k in range(N):
+        xk = X[:, k, :]
+        step = model.drift(xk) * dt + np.einsum("...il,...l->...i", model.diffusion(xk), dW[:, k, :])
+        X[:, k + 1, :] = xk + step
+    return X
+
+
+@pytest.mark.parametrize("which, level, leave", [
+    ("dw1", 1.0, "most"), ("dw1", 2.0, "some"), ("dw1", 8.0, "none"), ("dw2", 1.5, "some"),
+])
+@pytest.mark.parametrize("step", [0.0, 1e-100])
+def test_step_major_states_match_batch_first_loop(which, level, leave, step, dw1, dw2):
+    model = {"dw1": dw1, "dw2": dw2}[which]
+    fam = TruncationFamily(model, level)
+    g = TimeGrid(model.horizon, 128)
+    dW = sample_noise_block(g, 13, 0, 2000, model.dim)
+    if step:
+        dW = dW + 1j * step * sample_noise_block(g, 14, 0, 2000, model.dim)
+    X = euler_states(fam, g.dt, dW)
+    assert X.shape == (2000, g.steps + 1, model.dim)
+    assert np.array_equal(X, _euler_batch_first(fam, g.dt, dW))  # X[:, k] is state k
+    left = np.mean(np.any(_outside(X[:, :-1], level), axis=1))
+    assert {"most": left > 0.5, "some": 0 < left < 0.5, "none": left == 0}[leave]
 
 
 def test_blowup_reports_step():

@@ -15,6 +15,7 @@ from malsde.models import (
     DoubleWell1DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
+    _outside,
 )
 from malsde.simulate import TimeGrid, sample_noise_block
 
@@ -125,7 +126,7 @@ def test_inner_pairing_is_qinv_row_of_per_direction_steps(which, dw1, dw2):
     grid = TimeGrid(model.horizon, 8)
     dW = sample_noise_block(grid, 5, 0, 64, model.dim)
     ch = chain_batch(fam, grid.dt, dW)
-    assert fam._outside(ch.X).any()  # clamp terms enter Q and its inverse
+    assert _outside(ch.X, fam.level).any()  # clamp terms enter Q and its inverse
     eps = 1e-100
 
     def step(i1, v):  # derivative of H_(i1) along v, one complex step
