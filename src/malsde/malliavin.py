@@ -22,9 +22,11 @@ Inside this module the per-step quantities (sigma, grad sigma, A, its
 derivative E, the suffix products P, S and G) are held batch last, as
 contiguous (N, d, ..., B) arrays: each of the N steps then contracts whole
 (d, ..., B) slices, so a step costs a few vector operations of length B
-instead of B tiny matrix products.  Each array is transposed once, where it
-is made, and only its batch-last copy is kept; the results (`flow`'s X and
-S, every `ChainBatch` field) have the batch axis first.
+instead of B tiny matrix products.  The model is called on the step-major
+Euler states in blocks of steps, and each block is written batch last
+straight into these arrays, so no full-size batch-first tensor is made or
+transposed.  The results (`flow`'s X and S, every `ChainBatch` field) have
+the batch axis first; X, S and G are views of the arrays they come from.
 Iterated weights H_(i1,i2) = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j>
 additionally need one directional derivative of the inner weight, along
 w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; it is obtained by one complex step
@@ -43,6 +45,10 @@ from .simulate import euler_states
 # rescaling a coordinate; a path whose ratio is not above this is degenerate
 DET_Q_RTOL = 1e-12
 _CSTEP = 1e-100
+# words in one (steps, B, d, d) block of `_steps` (its d^3 and d^4 tensors
+# hold d and d^2 times as many): larger blocks raise the peak RSS, smaller
+# ones pay the model callables' per-call cost on more blocks
+_BLOCK_WORDS = 2 ** 14
 
 
 class DegenerateCovarianceError(RuntimeError):
@@ -60,7 +66,8 @@ class ChainBatch:
     Shapes (B = paths, N = steps, d = dim):
       dW (B,N,d), X (B,N+1,d),
       G (B,N,d,d) with G[b,k,i,a] = dX_N^i / dW_k^a (a view of the
-        batch-last array the chain is built from),
+        contiguous batch-last array the chain is built from, which
+        np.moveaxis(G, 0, -1) gives back),
       Q = dt S_N and Qinv (B,d,d), det_q and degenerate (B,),
       delta (B,d) = divergence of row j of DX,
       gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a].
@@ -88,17 +95,40 @@ def _first(a):
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
-def _steps(model, dt, dW):
-    """Euler states X (B,N+1,d), grad sigma Js (B,N,d,d,d) and, batch last,
-    sigma (N,d,d,B) and the step Jacobians A (N,d,d,B)."""
-    d = dW.shape[-1]
+def _steps(model, dt, dW, hess=False):
+    """Euler states X (B,N+1,d) and, batch last, sigma (N,d,d,B), grad sigma
+    Js (N,d,d,d,B) and the step Jacobians A (N,d,d,B); with hess=True also
+    E (N,d,d,d,B), E[n,i,p,q] = d(A_n)_{ip} / dX_n^q (else None).
+
+    The model is called on the step-major states in blocks of steps whose
+    sigma holds about `_BLOCK_WORDS` words.  Each block's values are moved
+    batch last straight into the arrays above and contracted there with the
+    block's own batch-last slice of dW, so no full-size batch-first tensor
+    is made.
+    """
+    B, N, d = dW.shape
     X = euler_states(model, dt, dW)
-    Xk = X[:, :-1, :]
-    Js = model.diffusion_jac(Xk)
-    A = model.drift_jac(Xk) * dt
-    A += np.eye(d, dtype=dW.dtype)
-    A += np.einsum("bnilp,bnl->bnip", Js, dW)
-    return X, Js, _last(model.diffusion(Xk)), _last(A)
+    Xs = np.swapaxes(X, 0, 1)  # the contiguous step-major states (N+1, B, d)
+    sig = np.empty((N, d, d, B), dtype=dW.dtype)
+    A = np.empty_like(sig)
+    Js = np.empty((N, d, d, d, B), dtype=dW.dtype)
+    E = np.empty_like(Js) if hess else None
+    eye = np.eye(d, dtype=dW.dtype)[..., None]
+    step = max(1, _BLOCK_WORDS // (max(B, 1) * d * d))
+    for lo in range(0, N, step):
+        blk = slice(lo, min(lo + step, N))
+        x, w = Xs[blk], _last(dW[:, blk])
+        sig[blk] = np.moveaxis(model.diffusion(x), 1, -1)
+        Js[blk] = np.moveaxis(model.diffusion_jac(x), 1, -1)
+        np.multiply(np.moveaxis(model.drift_jac(x), 1, -1), dt, out=A[blk])
+        A[blk] += eye
+        A[blk] += np.einsum("nilpb,nlb->nipb", Js[blk], w)
+        if hess:
+            np.multiply(np.moveaxis(model.drift_hess(x), 1, -1), dt, out=E[blk])
+            # a contiguous block copy: einsum's fast loop runs along unit-stride b
+            hs = np.ascontiguousarray(np.moveaxis(model.diffusion_hess(x), 1, -1))
+            E[blk] += np.einsum("nilpqb,nlb->nipqb", hs, w)
+    return X, sig, Js, A, E
 
 
 def _covariances(A, sig):
@@ -116,7 +146,7 @@ def flow(model, dt, dW):
     S (B,N+1,d,d) from S_0 = 0, S_{m+1} = A_m S_m A_m^T + sigma_m sigma_m^T
     with A_m the step Jacobians, so Q(t_k) = dt S_k."""
     dW = np.asarray(dW)
-    X, _, sig, A = _steps(model, dt, dW)
+    X, sig, _, A, _ = _steps(model, dt, dW)
     return X, np.moveaxis(_covariances(A, sig), -1, 0)
 
 
@@ -129,14 +159,8 @@ def chain_batch(model, dt, dW) -> ChainBatch:
     """
     dW = np.asarray(dW)
     _, N, d = dW.shape
-    X, Js, sig, A = _steps(model, dt, dW)
+    X, sig, Js, A, E = _steps(model, dt, dW, hess=True)
     S = _covariances(A, sig)
-    Xk = X[:, :-1, :]
-    # E[n,i,p,q,b] = d(A_n)_{ip} / dX_n^q
-    E = model.drift_hess(Xk) * dt
-    E += np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW)
-    E = _last(E)
-    Js = _last(Js)
     # P[m] = P_{m+1} = A_{N-1} ... A_{m+1}, so G_m = P[m] sigma_m
     P = np.empty_like(A)
     P[-1] = np.eye(d, dtype=A.dtype)[..., None]
@@ -209,9 +233,17 @@ def weight_from_chain(ch: ChainBatch, i: int):
 
 def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
     """<D H_(i1), sum_j Qinv_{i2 j} DX^j> per path: the pairing is linear in
-    its direction, so one complex step along w = dt sum_j Qinv_{i2 j} G[:, :, j, :]."""
-    w = ch.dt * np.einsum("bj,bkja->bka", ch.Qinv[:, i2], ch.G)
-    hc = weight_from_chain(chain_batch(model, ch.dt, ch.dW + (1j * _CSTEP) * w), i1)
+    its direction, so one complex step along w = dt sum_j Qinv_{i2 j} G[:, :, j, :].
+
+    w is contracted from the batch-last G, then laid out step major,
+    (N, B, d): the memory layout of the stepped dW sets the summation order
+    of the Ito term in `_row_divergences`, and an (N, d, B) layout moves the
+    order-2 weights' bits.
+    """
+    w = np.einsum("jb,kjab->kab", _last(ch.Qinv[:, i2]), np.moveaxis(ch.G, 0, -1))
+    w = ch.dt * np.ascontiguousarray(np.swapaxes(w, 1, 2))
+    dw = ch.dW + (1j * _CSTEP) * np.swapaxes(w, 0, 1)
+    hc = weight_from_chain(chain_batch(model, ch.dt, dw), i1)
     return hc.imag / _CSTEP
 
 

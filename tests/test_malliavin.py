@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from malsde import malliavin
 from malsde.density import count_drops
 from malsde.malliavin import (
     DegenerateCovarianceError,
     chain_batch,
+    flow,
+    weights_from_chain,
 )
 from malsde.models import (
     BrownianModel,
+    DoubleWell2DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
@@ -315,6 +321,98 @@ def test_q_from_recursion_is_dt_gram_of_g(dw2, step):
         err = np.max(np.abs(part(ch.Q) - part(gram)), axis=(1, 2))
         scale = np.max(np.abs(part(gram)), axis=(1, 2))
         assert np.all(scale > 0) and np.all(err <= 1e-13 * scale), part.__name__
+
+
+# ---------------------------------------------------------------------------
+# Step blocks built batch last against the batch-first formulation
+# ---------------------------------------------------------------------------
+
+def _batch_first_steps(model, dt, dW, hess=False):
+    """`malliavin._steps` as formulated batch first: every model callable on
+    the whole (B, N, d) states, the dW contractions batch first, and each
+    array moved batch last whole."""
+    d = dW.shape[-1]
+    X = euler_states(model, dt, dW)
+    Xk = X[:, :-1, :]
+    Js = model.diffusion_jac(Xk)
+    A = model.drift_jac(Xk) * dt
+    A += np.eye(d, dtype=dW.dtype)
+    A += np.einsum("bnilp,bnl->bnip", Js, dW)
+    E = None
+    if hess:
+        E = model.drift_hess(Xk) * dt
+        E += np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW)
+        E = malliavin._last(E)
+    return X, malliavin._last(model.diffusion(Xk)), malliavin._last(Js), malliavin._last(A), E
+
+
+def _batch_first_pairing(model, ch, i1, i2):
+    """`malliavin._inner_pairing` with w built from the batch-first view of G."""
+    w = ch.dt * np.einsum("bj,bkja->bka", ch.Qinv[:, i2], ch.G)
+    hc = malliavin.weight_from_chain(
+        chain_batch(model, ch.dt, ch.dW + (1j * malliavin._CSTEP) * w), i1)
+    return hc.imag / malliavin._CSTEP
+
+
+_CHAIN_FIELDS = ("dW", "X", "G", "Q", "Qinv", "det_q", "degenerate", "delta", "gamma")
+
+
+@pytest.mark.parametrize("which,level,leave", [
+    ("dw2", 4.0, "none"), ("dw2", 1.5, "some"), ("dw2", 1.0, "most"),
+    ("dw1", 4.0, "none"), ("dw1", 1.0, "some"), ("ou", 8.0, "none"), ("bm2", 8.0, "none")])
+def test_step_blocks_are_bitwise_the_batch_first_chain(which, level, leave, dw1, dw2, ou,
+                                                       monkeypatch):
+    # every ChainBatch field, flow's (X, S) and the order-2 weights equal the
+    # batch-first formulation bit for bit, real and complex-step, for one
+    # path, a batch in one step block and a batch whose blocks do not divide N
+    model = {"dw1": dw1, "dw2": dw2, "ou": ou,
+             "bm2": BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0)}[which]
+    fam = TruncationFamily(model, level)
+    grid = TimeGrid(model.horizon, 16)
+    d = model.dim
+    alphas = [(i, j) for i in range(d) for j in range(i, d)]
+    for B in (1, 50, {1: 5000, 2: 700}[d]):
+        step = max(1, malliavin._BLOCK_WORDS // (B * d * d))
+        assert B < 700 or (step < grid.steps and grid.steps % step)
+        dW = sample_noise_block(grid, 3, 0, B, d)
+        for cstep in (0.0, 1e-100):
+            dw = dW + 1j * cstep * dW[::-1] if cstep else dW
+            got = chain_batch(fam, grid.dt, dw)
+            got_flow = flow(fam, grid.dt, dw)
+            got_h = None if cstep else weights_from_chain(fam, got, alphas)
+            with monkeypatch.context() as mp:
+                mp.setattr(malliavin, "_steps", _batch_first_steps)
+                mp.setattr(malliavin, "_inner_pairing", _batch_first_pairing)
+                want = chain_batch(fam, grid.dt, dw)
+                want_flow = flow(fam, grid.dt, dw)
+                want_h = None if cstep else weights_from_chain(fam, want, alphas)
+            pairs = [(name, getattr(got, name), getattr(want, name)) for name in _CHAIN_FIELDS]
+            pairs += [("flow X", got_flow[0], want_flow[0]), ("flow S", got_flow[1], want_flow[1])]
+            pairs += [(f"H{a}", g, w) for a, g, w in zip(alphas, got_h or [], want_h or [])]
+            for name, g, w in pairs:
+                assert g.dtype == w.dtype and np.array_equal(g, w), (name, B, cstep)
+        if B > 1:
+            frac = np.mean(np.any(np.linalg.norm(got.X[:, :-1].real, axis=-1) > level, axis=1))
+            assert {"none": frac == 0, "some": 0 < frac < 1, "most": frac > 0.5}[leave], frac
+
+
+def test_complex_chain_memory_peak_below_batch_first_peak():
+    # one complex-step chain at the density-2d chunk shape (B = 2000, N = 32,
+    # d = 2).  This code reads a tracemalloc peak of 55.5 MB on the batch-first
+    # formulation, which made full-size (B, N, ...) tensors and moved them
+    # batch last whole, and 41.7 MB on the step blocks
+    m = DoubleWell2DModel(x0=[0.0, 0.0], horizon=0.5)
+    fam = TruncationFamily(m, 4.0)
+    grid = TimeGrid(m.horizon, 32)
+    dW = sample_noise_block(grid, 0, 0, 2000, m.dim)
+    dW = dW + 1j * 1e-100 * dW
+    tracemalloc.start()
+    try:
+        chain_batch(fam, grid.dt, dW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------
