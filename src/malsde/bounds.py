@@ -22,11 +22,12 @@ from .models import (
     OrnsteinUhlenbeckModel,
     TruncationFamily,
     _outside,
+    _real_radius,
     generator_apply,
 )
 from .parallel import map_chunks
 from .rng import gaussian_increments
-from .simulate import TimeGrid, euler_states, sample_noise_block
+from .simulate import TimeGrid, euler_rerun, euler_states, sample_noise_block
 
 ALPHA_FLOOR = 0.01
 ALPHA_MAX = 64.0
@@ -450,26 +451,36 @@ def invcov_reference_slopes(dim: int, p: float) -> dict:
 # Truncation convergence
 # ---------------------------------------------------------------------------
 
+def _first_exits(r, m):
+    """Per path, the first step k whose radius r[k] (N, B) exceeds m, the
+    clamp's own mask (`_outside`), or N if none does."""
+    out = r > m
+    first = np.full(out.shape[1], len(out))
+    idx = np.flatnonzero(out.any(axis=0))
+    first[idx] = out[:, idx].argmax(axis=0)
+    return first
+
+
 def _convergence_chunk(base, levels, grid, seed, p, lo, hi):
     """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p.
 
     One noise draw drives every level, swept from the top down: one full Euler
-    pass at the highest level, then at each lower level m only the paths that
-    leave its ball one level up (`_exits`) are re-run.  Every other path is
-    bitwise the same at both levels and adds exactly 0.0 to the sum, as a full
-    pass would.  One state array is held; re-run rows overwrite it.
+    pass at the highest level, then at each lower level m each path is re-run
+    (`euler_rerun`) only from its first step k0 outside the ball of radius m.
+    b_m = b_n bitwise inside that ball, so up to k0 the path is bitwise the
+    same at every level above m, and a path that never leaves adds exactly
+    0.0 to the sum, as a full pass would.  Each level above m keeps the path
+    unchanged up to its own first exit, where the path is outside the m-ball
+    already, so k0 is read off the top level's radii for every m.  One state
+    array is held; re-runs overwrite it.
     """
     dW = sample_noise_block(grid, seed, lo, hi, base.dim)
     X = euler_states(TruncationFamily(base, levels[-1]), grid.dt, dW)
+    r = _real_radius(np.swapaxes(X, 0, 1)[:-1])  # (N, B), step major
     sums = []
     for m in reversed(levels[:-1]):
-        fam = TruncationFamily(base, m)
-        idx = _exits(fam, X)
-        X_m = euler_states(fam, grid.dt, dW[idx])
-        d = np.zeros(len(X))
-        d[idx] = np.max(np.linalg.norm(X[idx] - X_m, axis=-1), axis=1)
+        d = euler_rerun(TruncationFamily(base, m), grid.dt, dW, X, _first_exits(r, m))
         sums.append(float(np.sum(d ** p)))
-        X[idx] = X_m
     return sums[::-1]
 
 
@@ -478,9 +489,10 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     """E[max_k |X^{n_i} - X^{n_{i+1}}|^p]^(1/p) for consecutive coupled levels.
 
     Each chunk sweeps the levels from the top down and re-simulates at a lower
-    level only the paths that leave its ball (`_convergence_chunk`); the sums
-    are bitwise those of a full Euler pass per level.  Returns a list of
-    (n_lo, n_hi, value) rows, in level order.
+    level only the paths that leave its ball, each from its first step
+    outside it (`_convergence_chunk`); the sums are bitwise those of a full
+    Euler pass per level.  Returns a list of (n_lo, n_hi, value) rows, in
+    level order.
     """
     levels = _distinct_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -24,9 +24,12 @@ contiguous (N, d, ..., B) arrays: each of the N steps then contracts whole
 (d, ..., B) slices, so a step costs a few vector operations of length B
 instead of B tiny matrix products.  The model is called on the step-major
 Euler states in blocks of steps, and each block is written batch last
-straight into these arrays, so no full-size batch-first tensor is made or
-transposed.  The results (`flow`'s X and S, every `ChainBatch` field) have
-the batch axis first; X, S and G are views of the arrays they come from.
+straight into these arrays, so no full-size batch-first tensor is made.
+dW is read batch last per block and step major whole (`_row_divergences`),
+each in one fixed layout, so the results do not depend on the memory order
+of the dW they are given.  The results (`flow`'s X and S, every `ChainBatch`
+field) have the batch axis first; X, S and G are views of the arrays they
+come from.
 Iterated weights H_(i1,i2) = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j>
 additionally need one directional derivative of the inner weight, along
 w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; it is obtained by one complex step
@@ -183,13 +186,17 @@ def chain_batch(model, dt, dW) -> ChainBatch:
 
 def _row_divergences(dt, dW, G, P, E, S):
     """delta (B,d): delta_j = sum_k G[k,j,:].dW_k - dt * sum_{k,a} D_k^a G[k,j,a],
-    from the batch-last G, P, E and S of `chain_batch`.
+    from dW (B,N,d) and the batch-last G, P, E and S of `chain_batch`.
 
     The trace part is sum_m Lambda_m(S_m) with S_m = sum_{k<m} D_kX_m (D_kX_m)^T
-    and Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.
+    and Lambda_m(C)_j = (P_{m+1})_{jq} E_m[q,r,p] C_{rp}.  The Ito part is
+    contracted on the contiguous step-major (N,B,d) dW, copied only when dW
+    is not laid out so: einsum's summation order follows its operands'
+    strides, and with every operand in one fixed layout delta is a function
+    of dW's values alone.
     """
     diag2 = np.einsum("mjqb,mqrpb,mrpb->jb", P, E, S[:-1])
-    ito = np.einsum("kjab,bka->jb", G, dW)
+    ito = np.einsum("kjab,kba->jb", G, np.ascontiguousarray(np.swapaxes(dW, 0, 1)))
     return _first(ito - dt * diag2)
 
 
@@ -236,9 +243,8 @@ def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
     its direction, so one complex step along w = dt sum_j Qinv_{i2 j} G[:, :, j, :].
 
     w is contracted from the batch-last G, then laid out step major,
-    (N, B, d): the memory layout of the stepped dW sets the summation order
-    of the Ito term in `_row_divergences`, and an (N, d, B) layout moves the
-    order-2 weights' bits.
+    (N, B, d), so the stepped dW is step major like the noise: its Euler
+    steps read contiguous slices and its Ito term needs no copy.
     """
     w = np.einsum("jb,kjab->kab", _last(ch.Qinv[:, i2]), np.moveaxis(ch.G, 0, -1))
     w = ch.dt * np.ascontiguousarray(np.swapaxes(w, 1, 2))

@@ -241,11 +241,21 @@ def _radius(x):
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
+def _real_radius(x):
+    """|Re x| of points x (..., d).  The squares are summed one component at a
+    time, the order np.sum takes over the d entries of a row."""
+    xr = np.real(x)
+    c0 = xr[..., 0]
+    s = np.multiply(c0, c0, out=np.empty_like(c0))  # an array even for one point
+    for i in range(1, xr.shape[-1]):
+        s += xr[..., i] * xr[..., i]
+    return np.sqrt(s, out=s)
+
+
 def _outside(x, n):
     """The one truncation mask: points of x (..., d) with |Re x| > n.  It reads
     only real parts, so a complex-step pass takes its real pass's branch."""
-    xr = np.real(x)
-    return np.sqrt(np.sum(xr * xr, axis=-1)) > n
+    return _real_radius(x) > n
 
 
 def clamp_point(x, n):

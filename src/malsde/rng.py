@@ -2,11 +2,13 @@
 
 Every Gaussian increment is a pure function of (seed, path_id, step, component),
 so any subset of paths can be generated on any worker, in any order, and the
-values never change.  The generator is a stateless splitmix64-style avalanche
-applied to a 64-bit counter; uniforms are mapped to normals by inverse CDF
-(`_ndtri`, a numpy port of the Cephes algorithm).  Its tail branch calls
-numpy's `log`, so draws are bit-stable for a given numpy build and SIMD
-dispatch.
+values never change.  A batch is drawn step major, into a (steps, paths, dim)
+buffer, and handed out as a (paths, steps, dim) view of it, so each Euler
+step reads one contiguous (paths, dim) slice.  The generator is a stateless
+splitmix64-style avalanche applied to a 64-bit counter; uniforms are mapped
+to normals by inverse CDF (`_ndtri`, a numpy port of the Cephes algorithm).
+Its tail branch calls numpy's `log`, so draws are bit-stable for a given
+numpy build and SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # the largest uniform: the largest double below 1, 1 - 2^-53
 _U_MAX = np.nextafter(1.0, 0.0)
 
-# words per row block of `gaussian_increments`: every temporary stays in cache
+# words per step block of `gaussian_increments`: every temporary stays in cache
 _BLOCK_WORDS = 2 ** 15
 
 # Cephes ndtri, as scipy.special ships it; coefficients highest power first,
@@ -66,6 +68,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _path_keys(seed: int, path_ids: np.ndarray) -> np.ndarray:
+    """Each path's start state mix(seed + GOLDEN*(p+1)), uint64."""
+    with np.errstate(over="ignore"):
+        seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        return _mix64(seed64 + _GOLDEN * (path_ids.astype(np.uint64) + np.uint64(1)))
+
+
 def _stream_words(seed: int, path_ids: np.ndarray, n_words: int) -> np.ndarray:
     """Raw uint64 words, shape (len(path_ids), n_words).
 
@@ -73,17 +82,12 @@ def _stream_words(seed: int, path_ids: np.ndarray, n_words: int) -> np.ndarray:
     splitmix64 sequence whose start state is itself derived by mixing the
     (seed, path) key, so distinct paths use well-separated states.
     """
-    with np.errstate(over="ignore"):
-        seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        keys = _mix64(seed64 + _GOLDEN * (path_ids.astype(np.uint64) + np.uint64(1)))
-        idx = _GOLDEN * (np.arange(1, n_words + 1, dtype=np.uint64))
-        return _mix64(np.add.outer(keys, idx))
+    idx = _GOLDEN * (np.arange(1, n_words + 1, dtype=np.uint64))
+    return _mix64(np.add.outer(_path_keys(seed, path_ids), idx))
 
 
-def uniforms(seed: int, path_ids: np.ndarray, n: int) -> np.ndarray:
-    """Per-path uniforms in [2^-54, 1 - 2^-53], inside the open interval
-    (0, 1), shape (paths, n)."""
-    w = _stream_words(seed, np.asarray(path_ids, dtype=np.uint64), n)
+def _to_uniforms(w: np.ndarray) -> np.ndarray:
+    """Uniforms in [2^-54, 1 - 2^-53] from raw words (w is overwritten)."""
     # 53 significant bits k, u = (k + 1/2) 2^-53, so 0 is excluded; above 1/2
     # the half rounds to even and the top word would give 1.0, so u is capped
     w >>= np.uint64(11)
@@ -92,6 +96,12 @@ def uniforms(seed: int, path_ids: np.ndarray, n: int) -> np.ndarray:
     u *= 2.0 ** -53
     np.minimum(u, _U_MAX, out=u)
     return u
+
+
+def uniforms(seed: int, path_ids: np.ndarray, n: int) -> np.ndarray:
+    """Per-path uniforms in [2^-54, 1 - 2^-53], inside the open interval
+    (0, 1), shape (paths, n)."""
+    return _to_uniforms(_stream_words(seed, np.asarray(path_ids, dtype=np.uint64), n))
 
 
 def _polevl(x: np.ndarray, coef) -> np.ndarray:
@@ -143,18 +153,23 @@ def gaussian_increments(
 
     Returns shape (path_hi - path_lo, steps, dim).  Row i is identical to the
     single-path draw for path_id = path_lo + i regardless of the block bounds.
-    Words, uniforms and normals are made in row blocks of about
+    The draws are written step major, into a contiguous (steps, paths, dim)
+    buffer, and the result is a batch-first view of it, not a copy:
+    np.swapaxes(dW, 0, 1) gives the buffer back, and dW[:, k] is contiguous.
+    Words, uniforms and normals are made in blocks of steps of about
     `_BLOCK_WORDS` words, so the temporaries stay in cache.
     """
     if path_hi < path_lo:
         raise ValueError("empty or inverted path range")
-    n_words = steps * dim
-    out = np.empty((path_hi - path_lo) * n_words)
-    rows = max(1, _BLOCK_WORDS // max(1, n_words))
+    n = path_hi - path_lo
+    out = np.empty((steps, n, dim))
+    keys = _path_keys(seed, np.arange(path_lo, path_hi, dtype=np.uint64))[:, None]
+    block = max(1, _BLOCK_WORDS // max(1, n * dim))
     scale = np.sqrt(dt)
-    for lo in range(path_lo, path_hi, rows):
-        hi = min(lo + rows, path_hi)
-        u = uniforms(seed, np.arange(lo, hi, dtype=np.uint64), n_words).ravel()
-        np.multiply(_ndtri(u), scale,
-                    out=out[(lo - path_lo) * n_words:(hi - path_lo) * n_words])
-    return out.reshape(path_hi - path_lo, steps, dim)
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        # word j = k dim + c of path p sits at [k, p, c]
+        idx = _GOLDEN * np.arange(lo * dim + 1, hi * dim + 1, dtype=np.uint64)
+        u = _to_uniforms(_mix64(keys + idx.reshape(hi - lo, 1, dim))).ravel()
+        np.multiply(_ndtri(u), scale, out=out[lo:hi].reshape(-1))
+    return np.swapaxes(out, 0, 1)

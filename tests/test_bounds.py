@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import malsde.bounds
+import malsde.simulate
 from malsde.bounds import (
     GeneratorFit,
     _convergence_chunk,
@@ -30,7 +31,13 @@ from malsde.models import (
     OrnsteinUhlenbeckModel,
     TruncationFamily,
 )
-from malsde.simulate import TimeGrid, euler_states, sample_noise_block
+from malsde.simulate import (
+    TimeGrid,
+    _euler_step,
+    euler_rerun,
+    euler_states,
+    sample_noise_block,
+)
 
 
 def _centered_ou(kappa=1.0):
@@ -487,50 +494,83 @@ def test_truncation_convergence_rows(dw1):
 
 
 def _every_level_sums(base, levels, grid, seed, p, lo, hi):
-    """A full Euler pass per level: the pair sums, and per lower level m the
-    paths whose states X_0..X_{N-1} one level up leave the ball of radius m."""
+    """A full Euler pass per level: the pair sums, per lower level m the
+    paths whose states X_0..X_{N-1} one level up leave the ball of radius m,
+    and per lower level each path's first step k0 outside it (N if none)."""
     dW = sample_noise_block(grid, seed, lo, hi, base.dim)
     X = [euler_states(TruncationFamily(base, n), grid.dt, dW) for n in levels]
     sums = [float(np.sum(np.max(np.linalg.norm(lo_ - hi_, axis=-1), axis=1) ** p))
             for lo_, hi_ in zip(X, X[1:])]
-    exits = [int(np.count_nonzero(np.any(
-                 np.linalg.norm(hi_[:, :-1], axis=-1) > m, axis=1)))
-             for m, hi_ in zip(levels, X[1:])]
-    return sums, exits
+    first = []
+    for m, hi_ in zip(levels, X[1:]):
+        out = np.linalg.norm(hi_[:, :-1], axis=-1) > m
+        first.append(np.where(out.any(axis=1), out.argmax(axis=1), grid.steps))
+    exits = [int(np.count_nonzero(k0 < grid.steps)) for k0 in first]
+    return sums, exits, first
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("case", ["dw1", "dw2"])
+@pytest.mark.parametrize("case", ["dw1", "dw1-calm", "dw2"])
 def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
     if case == "dw1":  # every path, about half, few and none leave
         base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
         levels, grid = (0.25, 1.0, 2.0, 8.0), TimeGrid(1.0, 32)
+    elif case == "dw1-calm":  # every path, about half and no path leave
+        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        levels, grid = (0.2, 1.0, 6.0, 8.0), TimeGrid(1.0, 32)
     else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
         base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
         levels, grid = (0.5, 1.5, 4.0), TimeGrid(0.5, 32)
     n_paths, chunk, seed = 20000, 8192, 11  # chunks of 8192, 8192 and 3616 paths
-    rows = []
+    N = grid.steps
+    rows, steps = [], []  # rows per Euler call, path-steps per step of each call
 
     def counted_euler(fam, dt, dW):
         rows.append(len(dW))
+        steps.append([])
         return euler_states(fam, dt, dW)
 
+    def counted_rerun(fam, dt, dW, X, first):
+        rows.append(int(np.count_nonzero(first < N)))
+        steps.append([])
+        return euler_rerun(fam, dt, dW, X, first)
+
+    def counted_step(model, dt, k, x, dw, out):
+        steps[-1].append(len(x))
+        return _euler_step(model, dt, k, x, dw, out)
+
+    spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    every = [_every_level_sums(base, levels, grid, seed, p, lo, hi) for lo, hi in spans]
     monkeypatch.setattr(malsde.bounds, "euler_states", counted_euler)
+    monkeypatch.setattr(malsde.bounds, "euler_rerun", counted_rerun)
+    monkeypatch.setattr(malsde.simulate, "_euler_step", counted_step)
     ref, all_exits = [], np.zeros(len(levels) - 1, dtype=int)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        sums, exits = _every_level_sums(base, levels, grid, seed, p, lo, hi)
+    for (lo, hi), (sums, exits, first) in zip(spans, every):
         rows.clear()
+        steps.clear()
         assert _convergence_chunk(base, levels, grid, seed, p, lo, hi) == sums
         # one full pass, then only the paths that leave each smaller ball
         assert sum(rows) == (hi - lo) + sum(exits)
+        # ... each re-run from its first step outside the ball: sum(N - k0)
+        # path-steps per level, top down, and no step at a level none leaves
+        assert [sum(s) for s in steps] == [(hi - lo) * N] + [
+            int(np.sum(N - k0)) for k0 in first[::-1]]
+        assert all(len(s) == 0 for s, k0 in zip(steps[1:], first[::-1])
+                   if np.all(k0 == N))
         ref.append(sums)
         all_exits += exits
+    all_first = [np.concatenate(k0) for k0 in zip(*(first for *_, first in every))]
     if case == "dw1":
         assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
         assert 0 < all_exits[2] < n_paths // 1000
+    elif case == "dw1-calm":
+        assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
+        assert all_exits[2] == 0
     else:
         assert 0 < all_exits[0] < n_paths
+    if case != "dw2":  # the lowest level is below |x0|: every path re-runs from step 0
+        assert np.all(all_first[0] == 0)
+        assert np.any(all_first[1] == N - 1)  # and some paths only for their last step
     table = truncation_convergence(base, levels, grid, n_paths, p=p, seed=seed,
                                    chunk=chunk)
     assert table == [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))

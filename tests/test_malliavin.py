@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -394,6 +395,33 @@ def test_step_blocks_are_bitwise_the_batch_first_chain(which, level, leave, dw1,
         if B > 1:
             frac = np.mean(np.any(np.linalg.norm(got.X[:, :-1].real, axis=-1) > level, axis=1))
             assert {"none": frac == 0, "some": 0 < frac < 1, "most": frac > 0.5}[leave], frac
+
+
+@pytest.mark.parametrize("which,level,B,N", [
+    ("dw2", 1.5, 1000, 12), ("dw2", 1.0, 50, 16), ("dw1", 1.0, 700, 16)])
+@pytest.mark.parametrize("cstep", [0.0, 1e-100])
+def test_chain_is_a_function_of_dw_values_alone(which, level, B, N, cstep, dw1):
+    # the same dW values in each of the six memory orders of (B, N, d) give
+    # every ChainBatch field, and the order-2 weights, bit for bit
+    model = {"dw1": dw1, "dw2": DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)}[which]
+    fam = TruncationFamily(model, level)
+    grid = TimeGrid(model.horizon, N)
+    d = model.dim
+    dW = sample_noise_block(grid, 3, 0, B, d)
+    if cstep:
+        dW = dW + 1j * cstep * sample_noise_block(grid, 4, 0, B, d)
+    alphas = [(i, j) for i in range(d) for j in range(d)]
+    want = None
+    for perm in itertools.permutations(range(3)):
+        dw = np.ascontiguousarray(dW.transpose(perm)).transpose(np.argsort(perm))
+        assert np.array_equal(dw, dW)
+        ch = chain_batch(fam, grid.dt, dw)
+        got = [getattr(ch, name) for name in _CHAIN_FIELDS]
+        got += [] if cstep else weights_from_chain(fam, ch, alphas)
+        if want is None:
+            want = got
+        for name, g, w in zip(_CHAIN_FIELDS + tuple(map(str, alphas)), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, perm)
 
 
 def test_complex_chain_memory_peak_below_batch_first_peak():

@@ -232,6 +232,43 @@ def test_mask_and_clamp_bitwise_as_reference(monkeypatch, d, step, case):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _edge_points(d, n):
+    """Points on the sphere |x| = n and at +-0, +-inf and nan, with every
+    other component 0, -0, n or a non-finite value."""
+    vals = [n, -n, 0.0, -0.0, np.nextafter(n, 0.0), np.nextafter(n, np.inf),
+            np.inf, -np.inf, np.nan]
+    if d == 1:
+        return np.array(vals)[:, None]
+    pts = [(a, b) for a in vals for b in vals]
+    # and points within a few ulp of the sphere at random angles
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 400)
+    r = n + rng.integers(-2, 3, 400) * np.spacing(n)
+    pts += list(zip(r * np.cos(theta), r * np.sin(theta)))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1.5, 0.3])
+@pytest.mark.parametrize("imag", [None, 1e-100, np.nan])
+def test_mask_sums_squares_as_np_sum(d, n, imag):
+    # the component-wise sum of squares is np.sum's over the last axis, so the
+    # mask is the same at the sphere itself, at +-0, inf and nan, for a
+    # batch, a single point and a step-major (N, B, d) array, real or complex
+    xs = _edge_points(d, n)
+    if imag is not None:
+        xs = xs.astype(complex)
+        xs.imag = imag
+    xr = np.real(xs)
+    want = np.sqrt(np.sum(xr * xr, axis=-1)) > n
+    assert want.any() and not want.all()
+    assert np.array_equal(models._outside(xs, n), want)
+    for x, w in zip(xs, want):
+        assert models._outside(x, n) == w
+    grid = np.stack([xs, xs[::-1]])
+    assert np.array_equal(models._outside(grid, n), np.stack([want, want[::-1]]))
+
+
 @pytest.mark.parametrize("step", [0.0, 1e-100])
 def test_clamp_returns_an_inside_batch_itself_and_drift_leaves_it(step):
     base = DoubleWell2DModel()

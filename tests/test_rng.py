@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +105,7 @@ def test_ndtri_at_zero_and_one_is_infinite():
 
 
 @pytest.mark.parametrize("n_paths, steps, dim", [
-    (1200, 32, 2),          # several row blocks: the range straddles their edges
+    (1200, 32, 2),          # several step blocks of all paths
     (3, 2 ** 14 + 3, 2),    # one path is more than one block
 ])
 def test_rows_match_single_path_draws_across_blocks(n_paths, steps, dim):
@@ -112,9 +114,29 @@ def test_rows_match_single_path_draws_across_blocks(n_paths, steps, dim):
     # the unblocked map: every word of the range through uniforms and ndtri at once
     u = rng.uniforms(11, np.arange(lo, lo + n_paths), steps * dim).ravel()
     assert np.array_equal(block, (rng._ndtri(u) * np.sqrt(0.25)).reshape(block.shape))
-    rows = max(1, rng._BLOCK_WORDS // (steps * dim))
-    edges = range(rows, n_paths, rows)
-    assert len(edges) >= 2
-    for i in {0, n_paths - 1} | {e + k for e in edges for k in (-1, 0)}:
+    steps_per_block = max(1, rng._BLOCK_WORDS // (n_paths * dim))
+    assert len(range(steps_per_block, steps, steps_per_block)) >= 2  # block edges
+    for i in range(n_paths):
         single = rng.gaussian_increments(11, lo + i, lo + i + 1, steps, dim, dt=0.25)[0]
         assert np.array_equal(block[i], single)
+
+
+@given(lo=st.integers(0, 100), n=st.integers(0, 24), cut=st.integers(0, 24),
+       steps=st.integers(1, 40), dim=st.integers(1, 2),
+       words=st.sampled_from([1, 5, 64, rng._BLOCK_WORDS]))
+@settings(max_examples=60, deadline=None)
+def test_any_block_bounds_give_the_same_step_major_rows(lo, n, cut, steps, dim, words):
+    # batch-first shape, a step-major buffer under it, and rows that do not
+    # depend on the path range or on how many words a step block holds
+    cut = min(cut, n)
+    with mock.patch.object(rng, "_BLOCK_WORDS", words):
+        whole = rng.gaussian_increments(5, lo, lo + n, steps, dim, 0.5)
+        head = rng.gaussian_increments(5, lo, lo + cut, steps, dim, 0.5)
+        tail = rng.gaussian_increments(5, lo + cut, lo + n, steps, dim, 0.5)
+    assert whole.shape == (n, steps, dim)
+    # each Euler step reads whole[:, k]: a contiguous (paths, dim) slice
+    assert np.swapaxes(whole, 0, 1).flags.c_contiguous
+    assert np.array_equal(np.concatenate([head, tail]), whole)
+    for i in range(n):
+        single = rng.gaussian_increments(5, lo + i, lo + i + 1, steps, dim, 0.5)
+        assert np.array_equal(single[0], whole[i])

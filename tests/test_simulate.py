@@ -12,6 +12,7 @@ from malsde.models import (
 from malsde.simulate import (
     NumericalBlowupError,
     TimeGrid,
+    euler_rerun,
     euler_states,
     moment_estimate,
     sample_noise_block,
@@ -133,6 +134,45 @@ def test_blowup_reports_step():
     g = TimeGrid(1.0, 4)
     with pytest.raises(NumericalBlowupError, match="step"):
         euler_states(m, g.dt, _one_path(g, 0, 0, 1)[None])
+
+
+class _ExplodeAbove(BrownianModel):
+    """Brownian motion whose drift is infinite where Re x > 0.5."""
+
+    def drift(self, x):
+        x = np.asarray(x)
+        return np.where(np.real(x) > 0.5, np.inf, 0.0) * x
+
+
+def test_rerun_blowup_reports_the_full_pass_step():
+    # the paths agree up to their first state above 0.5, so a re-run from
+    # that step, or from step 0, blows up at the step a full pass names
+    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    bad = _ExplodeAbove(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    g = TimeGrid(1.0, 16)
+    dW = sample_noise_block(g, 2, 0, 50, 1)
+    X = euler_states(m, g.dt, dW)
+    above = X[:, :-1, 0] > 0.5
+    first = np.where(above.any(axis=1), above.argmax(axis=1), g.steps)
+    assert 0 < first.min() < g.steps
+    with pytest.raises(NumericalBlowupError) as full:
+        euler_states(bad, g.dt, dW)
+    assert str(full.value) == f"non-finite state at step {first.min() + 1}"
+    for start in (first, np.zeros_like(first)):
+        with pytest.raises(NumericalBlowupError) as rerun:
+            euler_rerun(bad, g.dt, dW, X.copy(), start)
+        assert str(rerun.value) == str(full.value)
+
+
+def test_rerun_from_step_zero_is_a_full_pass(dw1):
+    g = TimeGrid(1.0, 32)
+    dW = sample_noise_block(g, 4, 0, 500, 1)
+    X = euler_states(TruncationFamily(dw1, 8.0), g.dt, dW)
+    want = euler_states(TruncationFamily(dw1, 0.2), g.dt, dW)  # |x0| = 0.3
+    gap = np.max(np.linalg.norm(X - want, axis=-1), axis=1)
+    got = euler_rerun(TruncationFamily(dw1, 0.2), g.dt, dW, X, np.zeros(500, dtype=int))
+    assert np.array_equal(X, want) and np.array_equal(got, gap)
+    assert np.all(gap > 0)
 
 
 def test_coupled_pair_identical_levels_bitwise(dw1):
