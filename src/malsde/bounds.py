@@ -18,10 +18,8 @@ import numpy as np
 from .density import gaussian_law
 from .malliavin import DegenerateCovarianceError, flow
 from .models import (
-    BrownianModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
-    _outside,
     _real_radius,
     generator_apply,
 )
@@ -251,11 +249,14 @@ def _distinct_levels(levels) -> list:
     return levels
 
 
-def _exits(fam, X):
-    """Indices of the paths whose states X_0..X_{N-1} leave fam's ball (the
-    clamp's own mask).  b_m = b_n bitwise inside the ball of radius m < n, so
-    every other path is bitwise the same at any higher level n."""
-    return np.flatnonzero(np.any(_outside(X[:, :-1], fam.level), axis=1))
+def _first_exits(r, m):
+    """Per path, the first step k whose radius r[k] (N, B) exceeds m, the
+    clamp's own mask (`_outside`), or N if none does."""
+    out = r > m
+    first = np.full(out.shape[1], len(out))
+    idx = np.flatnonzero(out.any(axis=0))
+    first[idx] = out[:, idx].argmax(axis=0)
+    return first
 
 
 def _cov_values(fam, grid, dW, p_list, ks):
@@ -278,19 +279,22 @@ def _sup_exponents(fam, grid, zetas, etas, X):
 def _cov_chunk(fam, sweep, grid, seed, zetas, etas, p_list, ks, lo, hi):
     """(sums, sups, xt) of one noise draw: per sweep level the sums of the
     `_cov_values` rows; at fam's level the sup exponents of `exp_moment_check`
-    and X_T.  The levels are swept from the top down as in
-    `_convergence_chunk`, re-running at each lower level only the paths that
-    leave its ball (`_exits`); all is bitwise a full pass per level.
+    and X_T.  The levels are swept from the top down with the exit rule of
+    `_convergence_chunk`: a lower level m re-runs only the paths whose top
+    pass leaves the m-ball (`_first_exits`), from step 0 (the S recursion
+    starts there), and a level no path leaves runs nothing.  All is bitwise a
+    full pass per level.
     """
     dW = sample_noise_block(grid, seed, lo, hi, fam.dim)
+    X, vals = _cov_values(TruncationFamily(fam.base, sweep[-1]), grid, dW, p_list, ks)
+    r = _real_radius(np.swapaxes(X, 0, 1)[:-1])  # (N, B), step major
+    exits = [np.flatnonzero(_first_exits(r, m) < grid.steps) for m in sweep[:-1]]
+    del r  # the re-runs need only the index arrays
     sums = []
-    for n in reversed(sweep):
-        level = TruncationFamily(fam.base, n)
-        if not sums:
-            X, vals = _cov_values(level, grid, dW, p_list, ks)
-        else:
-            idx = _exits(level, X)
-            X[idx], vals[:, idx] = _cov_values(level, grid, dW[idx], p_list, ks)
+    for n, idx in zip(sweep[::-1], [[]] + exits[::-1]):  # the top re-runs nothing
+        if len(idx):
+            X[idx], vals[:, idx] = _cov_values(TruncationFamily(fam.base, n), grid,
+                                               dW[idx], p_list, ks)
         sums.append([v.sum() for v in vals])
         if n == fam.level:  # lower levels overwrite X
             sups, xt = _sup_exponents(fam, grid, zetas, etas, X), X[:, -1].copy()
@@ -313,8 +317,11 @@ def covQ_moment_check(fam, levels, grid: TimeGrid, n_paths: int, fit: GeneratorF
     E[|Q_n(t)|_F^2] across levels n and times t = k dt, k = max(1, round(N
     frac)) for each of COVQ_TIME_FRACTIONS.  One noise draw per chunk and one
     top-down sweep over the levels and fam's own (`_cov_chunk`) serve them
-    all; dnorm and covQ values follow the order of `levels`, duplicates
-    included.  The covQ lhs is the worst spread across n over the times.
+    all; a lower level re-runs only the paths that leave its ball, read off
+    the top pass by the exit rule `truncation_convergence` uses
+    (`_first_exits`).  dnorm and covQ values follow the order of `levels`,
+    duplicates included.  The covQ lhs is the worst spread across n over the
+    times.
     """
     levels = _distinct_levels(levels)
     if any(p not in (2, 4) for p in p_list):
@@ -428,7 +435,7 @@ def invcov_slope_checks(process, scaling: InvCovScaling, times, steps: int) -> l
     """
     checks = []
     for p, slope in zip(scaling.p_list, scaling.slopes):
-        if isinstance(process, (BrownianModel, OrnsteinUhlenbeckModel)):
+        if isinstance(process, OrnsteinUhlenbeckModel):
             rhs = invcov_exact_slope(process, times, p, steps)
             margin = _INVCOV_SLOPE_RTOL * max(1.0, abs(rhs)) - abs(slope - rhs)
             checks.append((rhs, margin, bool(margin >= 0)))
@@ -450,16 +457,6 @@ def invcov_reference_slopes(dim: int, p: float) -> dict:
 # ---------------------------------------------------------------------------
 # Truncation convergence
 # ---------------------------------------------------------------------------
-
-def _first_exits(r, m):
-    """Per path, the first step k whose radius r[k] (N, B) exceeds m, the
-    clamp's own mask (`_outside`), or N if none does."""
-    out = r > m
-    first = np.full(out.shape[1], len(out))
-    idx = np.flatnonzero(out.any(axis=0))
-    first[idx] = out[:, idx].argmax(axis=0)
-    return first
-
 
 def _convergence_chunk(base, levels, grid, seed, p, lo, hi):
     """Per consecutive level pair, the chunk's sum of max_k |X^{n_i} - X^{n_{i+1}}|^p.

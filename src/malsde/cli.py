@@ -44,7 +44,6 @@ from .density import (
 )
 from .malliavin import DegenerateCovarianceError, quadrature_oracle
 from .models import (
-    BrownianModel,
     MODEL_IDS,
     ModelDefinitionError,
     OrnsteinUhlenbeckModel,
@@ -371,17 +370,13 @@ def cmd_simulate(cfg, outdir: Path) -> tuple[int, list[Path]]:
     return EXIT_OK, [f]
 
 
-def _is_linear(model) -> bool:
-    return isinstance(model, (BrownianModel, OrnsteinUhlenbeckModel))
-
-
 def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, fam, grid = _build(cfg)
     dcfg = cfg["density"]
     ys = np.asarray(dcfg["y_grid"], dtype=float)
     ygrid = np.repeat(ys[:, None], fam.dim, axis=1)  # diagonal grid for d >= 2
     seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
-    linear = _is_linear(model)
+    linear = isinstance(model, OrnsteinUhlenbeckModel)
     rows = []
     all_pass = True
     env_fit = None
@@ -454,7 +449,7 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
              rep.lhs, rep.se, rep.rhs, rep.margin, rep.passed) for rep in reports]
     # for Brownian and OU dynamics the slope is fitted on the untruncated
     # process, whose Q(t) is deterministic, so the row can be judged exactly
-    process = model if _is_linear(model) else fam
+    process = model if isinstance(model, OrnsteinUhlenbeckModel) else fam
     scaling = invcov_moment_scaling(process, bcfg["t_grid"], bcfg["p_list"],
                                     m_paths, steps=bcfg["invcov_steps"],
                                     seed=seed, workers=workers)
@@ -514,7 +509,7 @@ def cmd_converge(cfg, outdir: Path) -> tuple[int, list[Path]]:
         all_pass &= ok
         rows.append(("truncation", mid, f"{n1:g}->{n2:g}", grid.steps,
                      m_paths, seed, val, ok))
-    if _is_linear(model):
+    if isinstance(model, OrnsteinUhlenbeckModel):
         # closed-form Euler-chain law vs continuous law: weak error per N
         mean_inf, var_inf = gaussian_law(model, grid.horizon)
         errs = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .malliavin import DegenerateCovarianceError, chain_batch, weights_from_chain
-from .models import BrownianModel, OrnsteinUhlenbeckModel, TruncationFamily
+from .models import OrnsteinUhlenbeckModel, TruncationFamily
 from .parallel import map_chunks
 from .simulate import TimeGrid, sample_noise_block
 
@@ -94,20 +94,6 @@ def count_drops(valid, n_paths):
     return dropped
 
 
-def density_mc(fam, grid: TimeGrid, n_paths: int, seed: int, ys, alpha=(),
-               chunk: int = 8192, workers: int = 1):
-    """Weight-based estimate of d_alpha rho at the grid points ys; alpha = ()
-    gives the density itself, and |alpha| + dim <= 2.
-
-    Returns (estimates, standard_errors, n_dropped).
-    """
-    xn, h, valid = weight_samples(fam, grid, n_paths, seed,
-                                  [full_alpha(fam.dim, alpha)], chunk, workers)
-    dropped = count_drops(valid, n_paths)
-    est, se = _orthant_estimates(xn, h[0], valid, ys, alpha)
-    return est, se, dropped
-
-
 # ---------------------------------------------------------------------------
 # Kernel density cross-check
 # ---------------------------------------------------------------------------
@@ -167,36 +153,26 @@ def kde(samples, ys):
 # ---------------------------------------------------------------------------
 
 def gaussian_law(model, t: float, steps: int | None = None):
-    """Per-component (mean, variance) of X_t for Brownian or OU dynamics.
+    """Per-component (mean, variance) of X_t for OU dynamics, Brownian motion
+    being OU with kappa = 0.
 
     With `steps` given, returns the law of the Euler chain itself (exact for
     these linear models at any step count), which is the right oracle for
     discretization-error studies.
     """
     base = model.base if isinstance(model, TruncationFamily) else model
-    x0 = np.asarray(base.x0, dtype=float)
-    if isinstance(base, BrownianModel):
-        mean = x0
-        var = np.full(base.dim, base.sigma0 ** 2 * t)
-        return mean, var
-    if isinstance(base, OrnsteinUhlenbeckModel):
-        kappa = base.kappa
-        if kappa < 0:
-            raise ValueError("mean-reversion rate must be nonnegative")
-        mu = np.asarray(base.mu, dtype=float)
-        s2 = base.sigma0 ** 2
-        if steps is None:
-            decay = np.exp(-kappa * t)
-            var_scalar = s2 * t if kappa == 0 else s2 * (1 - np.exp(-2 * kappa * t)) / (2 * kappa)
-        else:
-            dt = t / steps
-            a = 1.0 - kappa * dt
-            decay = a ** steps
-            var_scalar = s2 * dt * steps if a == 1.0 else s2 * dt * (1 - a ** (2 * steps)) / (1 - a * a)
-        mean = mu + (x0 - mu) * decay
-        var = np.full(base.dim, var_scalar)
-        return mean, var
-    raise ValueError("closed-form law available for Brownian and OU models only")
+    if not isinstance(base, OrnsteinUhlenbeckModel):
+        raise ValueError("closed-form law available for Brownian and OU models only")
+    kappa, mu, s2 = base.kappa, base.mu, base.sigma0 ** 2
+    if steps is None:
+        decay = np.exp(-kappa * t)
+        var_scalar = s2 * t if kappa == 0 else s2 * (1 - np.exp(-2 * kappa * t)) / (2 * kappa)
+    else:
+        dt = t / steps
+        a = 1.0 - kappa * dt
+        decay = a ** steps
+        var_scalar = s2 * t if a == 1.0 else s2 * dt * (1 - a ** (2 * steps)) / (1 - a * a)
+    return mu + (base.x0 - mu) * decay, np.full(base.dim, var_scalar)
 
 
 def _pdf_factor(y, mean, var, order):

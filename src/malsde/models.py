@@ -96,35 +96,6 @@ def _const_matrix(x, mat):
     return out
 
 
-class BrownianModel(SdeModel):
-    """b = 0, sigma = sigma0 * I: the closed-form Gaussian control case."""
-
-    def __init__(self, dim=1, x0=0.0, horizon=1.0, sigma0=1.0):
-        self.sigma0 = float(sigma0)
-        if self.sigma0 < 0:
-            raise ModelDefinitionError("sigma0 must be nonnegative")
-        # sigma0 = 0 is allowed for degenerate control experiments; the
-        # placeholder constants then fail check_ellipticity by design.
-        lam = self.sigma0 ** 2 if self.sigma0 > 0 else 1.0
-        c = EllipticityConstants(lam, lam, lam, 0.0, 0.0)
-        x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (dim,)).copy()
-        super().__init__(dim, x0, horizon, c)
-
-    def drift(self, x):
-        return np.zeros_like(np.asarray(x))
-
-    def drift_jac(self, x):
-        d = self.dim
-        return np.zeros(np.shape(x)[:-1] + (d, d), dtype=np.asarray(x).dtype)
-
-    def drift_hess(self, x):
-        d = self.dim
-        return np.zeros(np.shape(x)[:-1] + (d, d, d), dtype=np.asarray(x).dtype)
-
-    def diffusion(self, x):
-        return _const_matrix(x, self.sigma0 * np.eye(self.dim))
-
-
 class OrnsteinUhlenbeckModel(SdeModel):
     """b(x) = -kappa (x - mu), sigma = sigma0 * I: linear, closed-form law."""
 
@@ -136,7 +107,9 @@ class OrnsteinUhlenbeckModel(SdeModel):
             raise ModelDefinitionError("kappa must be nonnegative")
         if self.sigma0 < 0:
             raise ModelDefinitionError("sigma0 must be nonnegative")
-        # sigma0 = 0 allowed for deterministic control runs (see BrownianModel)
+        # sigma0 = 0 is allowed for degenerate control experiments (BrownianModel
+        # is the kappa = 0 case); the placeholder constants then fail
+        # check_ellipticity by design.
         lam = self.sigma0 ** 2 if self.sigma0 > 0 else 1.0
         c = EllipticityConstants(lam, lam, lam, 0.0, -self.kappa)
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (dim,)).copy()
@@ -154,6 +127,14 @@ class OrnsteinUhlenbeckModel(SdeModel):
 
     def diffusion(self, x):
         return _const_matrix(x, self.sigma0 * np.eye(self.dim))
+
+
+class BrownianModel(OrnsteinUhlenbeckModel):
+    """b = 0, sigma = sigma0 * I: OU with kappa = 0 and mu = 0, the
+    closed-form Gaussian control case."""
+
+    def __init__(self, dim=1, x0=0.0, horizon=1.0, sigma0=1.0):
+        super().__init__(dim, x0, horizon, kappa=0.0, mu=0.0, sigma0=sigma0)
 
 
 class DoubleWell1DModel(SdeModel):

@@ -7,8 +7,6 @@ identical for any number of workers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def chunk_ranges(n: int, chunk: int):
     """Half-open ranges [lo, hi) covering [0, n) in fixed-size pieces."""
@@ -26,6 +24,9 @@ def map_chunks(fn, n: int, chunk: int, workers: int = 1):
     ranges = chunk_ranges(n, chunk)
     if workers <= 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
+    # imported here so a serial run does not pay for concurrent.futures
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         futures = [ex.submit(fn, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]

@@ -21,7 +21,6 @@ from malsde.bounds import (
 )
 from malsde.cli import _ORACLE_FUNCS, main
 from malsde.density import (
-    density_mc,
     fit_decay_envelope,
     gaussian_oracle,
     kde_risk,
@@ -35,6 +34,8 @@ from malsde.models import (
     TruncationFamily,
 )
 from malsde.simulate import TimeGrid, euler_states, sample_noise_block
+
+from helpers import density_mc
 
 
 def _zoo():

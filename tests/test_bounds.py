@@ -280,11 +280,14 @@ def _every_level_cov_sums(base, levels, grid, seed, p_list, ks, lo, hi):
     return np.array(sums), exits
 
 
-@pytest.mark.parametrize("case", ["dw1", "dw2"])
+@pytest.mark.parametrize("case", ["dw1", "dw1-calm", "dw2"])
 def test_cov_sweep_matches_every_level_run(case, monkeypatch):
     if case == "dw1":  # every path, about half and few leave
         base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
         levels, grid = (0.25, 1.0, 2.0, 4.0), TimeGrid(1.0, 16)
+    elif case == "dw1-calm":  # every path, about half and no path leave
+        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        levels, grid = (0.2, 1.0, 6.0, 8.0), TimeGrid(1.0, 16)
     else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
         base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
         levels, grid = (0.5, 1.0, 2.0, 4.0), TimeGrid(0.5, 16)
@@ -305,17 +308,21 @@ def test_cov_sweep_matches_every_level_run(case, monkeypatch):
         got, _, _ = _cov_chunk(TruncationFamily(base, levels[-1]), levels, grid, seed,
                                (), [], p_list, ks, lo, hi)
         assert np.array_equal(got, sums)
-        # one full pass, then only the paths that leave each smaller ball
-        assert sum(rows) == (hi - lo) + sum(exits)
+        # one full pass, then only the paths that leave each smaller ball,
+        # and no flow call at a level no path leaves
+        assert rows == [hi - lo] + [e for e in exits[::-1] if e]
         total = total + sums
         all_exits += exits
     if case == "dw1":
         assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
         assert 0 < all_exits[2] < n_paths // 100
+    elif case == "dw1-calm":
+        assert all_exits[0] == n_paths and 0 < all_exits[1] < n_paths
+        assert all_exits[2] == 0
     else:
         assert 0 < all_exits[0] < n_paths
     # levels in any order, duplicates included, report in the caller's order
-    order = (4.0, 1.0, 2.0, 2.0)
+    order = (levels[3], levels[1], levels[2], levels[2])
     reps = _cov_reports(base, order, grid, n_paths, p_list, seed=seed, chunk=chunk)
     means = total / n_paths
     at = [levels.index(n) for n in order]

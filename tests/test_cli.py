@@ -182,6 +182,17 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_serial_density_leaves_out_the_process_pool(tmp_path):
+    # only a run with workers > 1 starts a pool, so only it imports one
+    src = str(Path(malsde.__file__).parents[1])
+    code = ("import sys, malsde.cli; code = malsde.cli.main(['density', '--set', "
+            f"'paths=1000', '--workers', '1', '--out', {str(tmp_path)!r}]); "
+            "sys.exit(code or 10 * ('concurrent.futures' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert (tmp_path / "density.csv").exists()
+
+
 def test_envelope_fit_failure_is_a_failed_check(tmp_path):
     # far-tail grid: too few significant estimates to fit the envelope
     code = _run(["density", "--out", tmp_path,

@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import norm
 
 from malsde.density import (
-    density_mc,
     fit_decay_envelope,
     gaussian_law,
     gaussian_oracle,
@@ -20,6 +19,8 @@ from malsde.models import (
     TruncationFamily,
 )
 from malsde.simulate import TimeGrid, sample_noise_block
+
+from helpers import density_mc
 
 
 def _bm_fam(sigma=1.0, x0=0.0):
@@ -171,6 +172,23 @@ def test_gaussian_law_discrete_steps():
     mean, var = gaussian_law(ou, 1.0, steps=N)
     assert mean[0] == pytest.approx(a ** N, rel=1e-13)  # [DERIVED]
     assert var[0] == pytest.approx(dt * (1 - a ** (2 * N)) / (1 - a * a), rel=1e-13)
+
+
+@pytest.mark.parametrize("steps", [None, 48, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaussian_law_brownian_is_ou_kappa_zero(steps, dim):
+    # sigma0 = 1.5, t = 0.7 and 48 steps is where s2 * dt * steps != s2 * t
+    x0 = [0.4, -0.3][:dim]
+    bm = BrownianModel(dim=dim, x0=x0, horizon=1.0, sigma0=1.5)
+    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, horizon=1.0, kappa=0.0,
+                                mu=0.0, sigma0=1.5)
+    for model in (bm, TruncationFamily(bm, 2.0)):
+        for got, want in zip(gaussian_law(model, 0.7, steps=steps),
+                             gaussian_law(ou, 0.7, steps=steps)):
+            assert np.array_equal(got, want)
+    mean, var = gaussian_law(bm, 0.7, steps=steps)
+    # the Euler chain of Brownian motion has its exact law at any step count
+    assert np.array_equal(mean, x0) and np.all(var == 1.5 ** 2 * 0.7)
 
 
 def test_gaussian_oracle_values():

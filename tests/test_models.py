@@ -415,3 +415,8 @@ def test_make_model_ids(zoo):
         assert make_model(mid).dim in (1, 2)
     with pytest.raises(ModelDefinitionError):
         make_model("heat-equation")
+    # Brownian motion is OU with kappa = 0, but takes no OU parameter
+    with pytest.raises(ModelDefinitionError, match="kappa"):
+        make_model("bm", kappa=1.0)
+    with pytest.raises(ModelDefinitionError, match="mu"):
+        make_model("bm", mu=[1.0])

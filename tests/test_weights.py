@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from malsde.models import (
     TruncationFamily,
     _outside,
 )
-from malsde.simulate import TimeGrid, sample_noise_block
+from malsde.simulate import TimeGrid, euler_states, sample_noise_block
 
 COS = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
@@ -81,6 +83,29 @@ def test_weight_degenerate_covariance():
     fam, grid, dW = _path(m, 8.0, 8)
     _, ch = weight_alpha(fam, grid.dt, dW, (0,))
     assert ch.degenerate[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_brownian_chain_is_ou_kappa_zero(dim):
+    # one linear model: Brownian motion runs OU's code with kappa = 0, mu = 0,
+    # and every state, chain field and weight is bitwise OU's
+    assert not {"drift", "drift_jac", "drift_hess", "diffusion"} & set(vars(BrownianModel))
+    x0 = [0.3, -0.2][:dim]
+    bm = BrownianModel(dim=dim, x0=x0, horizon=1.0, sigma0=1.3)
+    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, horizon=1.0, kappa=0.0, mu=0.0,
+                                sigma0=1.3)
+    grid = TimeGrid(1.0, 16)
+    dW = sample_noise_block(grid, 7, 0, 400, dim)
+    alphas = [(0,), (dim - 1,), (0, 0), (0, dim - 1), (dim - 1, dim - 1)]
+    for level in (0.5, 8.0):  # most paths leave the ball, or none do
+        fb, fo = TruncationFamily(bm, level), TruncationFamily(ou, level)
+        assert np.array_equal(euler_states(fb, grid.dt, dW), euler_states(fo, grid.dt, dW))
+        cb, co = chain_batch(fb, grid.dt, dW), chain_batch(fo, grid.dt, dW)
+        for f in dataclasses.fields(cb):
+            assert np.array_equal(getattr(cb, f.name), getattr(co, f.name)), f.name
+        for hb, ho in zip(weights_from_chain(fb, cb, alphas),
+                          weights_from_chain(fo, co, alphas)):
+            assert np.array_equal(hb, ho)
 
 
 # ---------------------------------------------------------------------------
