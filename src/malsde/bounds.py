@@ -5,6 +5,8 @@ bound is checked by Monte Carlo against its displayed right-hand side.  Where
 a bound carries unknown absolute constants, the check is split into a
 scaling-exponent fit and a uniformity-in-truncation-level spread check, which
 are constant-free.
+Each study decides its rows' pass: `BoundReport`, `invcov_slope_checks`,
+`truncation_convergence` and `step_halving_checks`.
 """
 
 from __future__ import annotations
@@ -488,8 +490,8 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     Each chunk sweeps the levels from the top down and re-simulates at a lower
     level only the paths that leave its ball, each from its first step
     outside it (`_convergence_chunk`); the sums are bitwise those of a full
-    Euler pass per level.  Returns a list of (n_lo, n_hi, value) rows, in
-    level order.
+    Euler pass per level.  Returns (n_lo, n_hi, value, passed) rows in level
+    order; a row fails iff its value exceeds the previous row's by > 1e-15.
     """
     levels = _distinct_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -498,5 +500,27 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
         raise ValueError("p must be >= 1")
     task = functools.partial(_convergence_chunk, base, levels, grid, seed, p)
     parts = map_chunks(task, n_paths, chunk, workers)
-    return [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))
-            for n1, n2, col in zip(levels, levels[1:], zip(*parts))]
+    vals = [float((sum(col) / n_paths) ** (1.0 / p)) for col in zip(*parts)]
+    passed = [True] + [b <= a + 1e-15 for a, b in zip(vals, vals[1:])]
+    return list(zip(levels, levels[1:], vals, passed))
+
+
+def step_halving_checks(model, grid: TimeGrid, halving_steps) -> list:
+    """(study, param, N, value, passed) rows of the Euler chain's weak error
+    max|mean_N - mean| + max|var_N - var| (`gaussian_law`), one "halving"
+    row per step count, then, given two or more errors, all nonzero, the
+    "halving_slope" row: their log-log slope in dt, which passes iff within
+    0.3 of 1.  Only Brownian and OU dynamics have the law to get rows."""
+    if not isinstance(model, OrnsteinUhlenbeckModel):
+        return []
+    mean, var = gaussian_law(model, grid.horizon)
+    laws = [gaussian_law(model, grid.horizon, steps=steps) for steps in halving_steps]
+    errs = [float(np.max(np.abs(m - mean)) + np.max(np.abs(v - var))) for m, v in laws]
+    rows = [("halving", f"N={steps}", steps, err, True)
+            for steps, err in zip(halving_steps, errs)]
+    if len(errs) >= 2 and min(errs) > 0:
+        hs = np.asarray(halving_steps, dtype=float)
+        order = float(np.polyfit(np.log(grid.horizon / hs), np.log(errs), 1)[0])
+        rows.append(("halving_slope", "dt_order", grid.steps, order,
+                     abs(order - 1.0) <= 0.3))
+    return rows

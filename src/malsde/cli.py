@@ -3,7 +3,8 @@
 Subcommands: simulate, density, bounds, oracle, converge.  Configs are strict
 JSON (unknown keys rejected); outputs are CSV files with 17-significant-digit
 floats plus a JSON run manifest.  Given the same config and seed, report
-bytes are identical at any worker count.
+bytes are identical at any worker count.  The studies decide each row's pass
+(`density.density_checks`, `bounds`); this module only writes the rows.
 
 Exit codes: 0 success, 1 failed check, 2 config error, 3 numerical error.
 """
@@ -20,7 +21,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import (
@@ -30,19 +30,11 @@ from .bounds import (
     invcov_moment_scaling,
     invcov_reference_slopes,
     invcov_slope_checks,
+    step_halving_checks,
     truncation_convergence,
 )
-from .density import (
-    _orthant_estimates,
-    count_drops,
-    fit_decay_envelope,
-    full_alpha,
-    gaussian_law,
-    gaussian_oracle,
-    kde_risk,
-    weight_samples,
-)
-from .malliavin import DegenerateCovarianceError, quadrature_oracle
+from .density import density_checks
+from .malliavin import DegenerateCovarianceError, alpha_tag, quadrature_oracle
 from .models import (
     MODEL_IDS,
     ModelDefinitionError,
@@ -334,7 +326,15 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_checks(path: Path, header, rows) -> tuple[int, list[Path]]:
+    """Write a check CSV; exit 1 if any row's last (`pass`) column is false."""
+    write_csv(path, header, rows)
+    return (EXIT_OK if all(row[-1] for row in rows) else EXIT_CHECK_FAILED), [path]
+
+
 def write_manifest(outdir: Path, subcommand: str, cfg: dict, files, wall: float) -> None:
+    import scipy  # only for its version: start-up does not pay for it
+
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
@@ -348,10 +348,6 @@ def write_manifest(outdir: Path, subcommand: str, cfg: dict, files, wall: float)
         "outputs": [f.name for f in files],
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _alpha_tag(alpha) -> str:
-    return "".join(str(a) for a in alpha) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -371,64 +367,16 @@ def cmd_simulate(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
 
 def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
-    model, fam, grid = _build(cfg)
+    _, fam, grid = _build(cfg)
     dcfg = cfg["density"]
-    ys = np.asarray(dcfg["y_grid"], dtype=float)
-    ygrid = np.repeat(ys[:, None], fam.dim, axis=1)  # diagonal grid for d >= 2
-    seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
-    linear = isinstance(model, OrnsteinUhlenbeckModel)
-    rows = []
-    all_pass = True
-    env_fit = None
-    if dcfg["envelope"]:
-        env_fit = fit_generator_constants(fam, 2)
-    # config coords are 1-based; one weight pass serves every alpha and the KDE
-    alphas0 = [tuple(a - 1 for a in alpha) for alpha in dcfg["alphas"]]
-    xn, h, valid = weight_samples(fam, grid, m_paths, seed,
-                                  [full_alpha(fam.dim, a) for a in alphas0],
-                                  workers=workers)
-    count_drops(valid, m_paths)
-    kde_xn = xn[:50000][valid[:50000]]
-    for alpha, alpha0, h_alpha in zip(dcfg["alphas"], alphas0, h):
-        est, se = _orthant_estimates(xn, h_alpha, valid, ygrid, alpha0)
-        # only the nonlinear alpha () pass rule reads the KDE
-        kde_vals, risk = (kde_risk(kde_xn, ygrid) if not (alpha0 or linear) else
-                          (np.full(len(ys), np.nan), np.full(len(ys), np.inf)))
-        oracle = (gaussian_oracle(model, grid.horizon, ygrid, alpha0,
-                                  steps=grid.steps) if linear
-                  else np.full(len(ys), np.nan))
-        env_vals = np.full(len(ys), np.nan)
-        env_failed = False
-        if env_fit is not None:
-            try:
-                check = fit_decay_envelope(
-                    ygrid, est, se, grid.horizon, fam.x0,
-                    c2=fam.constants.c2, gamma2=env_fit.gamma_p,
-                    alpha2=env_fit.alpha_p, lambda0=fam.constants.lambda_min)
-            except ValueError as e:  # too few significant estimates to fit
-                print(f"envelope check failed (alpha {_alpha_tag(alpha)}): {e}",
-                      file=sys.stderr)
-                env_failed = True
-            else:
-                env_vals = check.envelope
-        for i, y in enumerate(ys):
-            if linear:
-                ok = abs(est[i] - oracle[i]) <= 3 * se[i] + 1e-12
-            elif not alpha0:
-                ok = abs(est[i] - kde_vals[i]) <= 3 * (se[i] + risk[i])
-            else:
-                ok = True
-            if env_fit is not None and np.isfinite(env_vals[i]):
-                ok = ok and (abs(est[i]) <= env_vals[i] + 3 * se[i])
-            ok = ok and not env_failed
-            all_pass &= bool(ok)
-            rows.append((cfg["model"]["id"], fam.level, grid.steps, m_paths,
-                         seed, y, _alpha_tag(alpha), est[i], se[i],
-                         kde_vals[i], oracle[i], env_vals[i], bool(ok)))
-    f = outdir / "density.csv"
-    write_csv(f, ["model", "n", "N", "M", "seed", "y", "alpha", "estimate",
-                  "se", "kde", "oracle", "envelope", "pass"], rows)
-    return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), [f]
+    env_fit = fit_generator_constants(fam, 2) if dcfg["envelope"] else None
+    rows = density_checks(fam, grid, cfg["paths"], cfg["seed"], dcfg["alphas"],
+                          dcfg["y_grid"], env_fit, cfg["workers"])
+    key = (cfg["model"]["id"], fam.level, grid.steps, cfg["paths"], cfg["seed"])
+    return write_checks(outdir / "density.csv",
+                        ["model", "n", "N", "M", "seed", "y", "alpha", "estimate",
+                         "se", "kde", "oracle", "envelope", "pass"],
+                        [key + row for row in rows])
 
 
 def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
@@ -461,11 +409,9 @@ def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
                      f"p={p};hyp={refs['moment_hypothesis']:g};"
                      f"app={refs['appendix_lemma']:g}",
                      slope, 0.0, rhs, margin, passed))
-    all_pass = all(bool(r[-1]) for r in rows)
-    f = outdir / "bounds.csv"
-    write_csv(f, ["check", "model", "n", "N", "M", "seed", "param", "lhs",
-                  "se", "rhs", "margin", "pass"], rows)
-    return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), [f]
+    return write_checks(outdir / "bounds.csv",
+                        ["check", "model", "n", "N", "M", "seed", "param", "lhs",
+                         "se", "rhs", "margin", "pass"], rows)
 
 
 _ORACLE_FUNCS = {
@@ -485,7 +431,7 @@ def cmd_oracle(cfg, outdir: Path) -> tuple[int, list[Path]]:
         [tuple(a - 1 for a in alpha) for alpha in ocfg["alphas"]],
         nodes=ocfg["nodes"], horizon=grid.horizon)
     keys = itertools.product(ocfg["functions"], ocfg["alphas"])
-    rows = [(f"{cfg['model']['id']}:{fname}", _alpha_tag(alpha), ocfg["steps"], *res)
+    rows = [(f"{cfg['model']['id']}:{fname}", alpha_tag(alpha), ocfg["steps"], *res)
             for (fname, alpha), res in zip(keys, results)]
     f = outdir / "oracle.csv"
     write_csv(f, ["model", "alpha", "N", "lhs", "rhs", "gap"], rows)
@@ -494,44 +440,18 @@ def cmd_oracle(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
 
 def cmd_converge(cfg, outdir: Path) -> tuple[int, list[Path]]:
-    model, fam, grid = _build(cfg)
+    model, _, grid = _build(cfg)
     ccfg = cfg["converge"]
-    seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
-    mid = cfg["model"]["id"]
-    rows = []
-    all_pass = True
-    table = truncation_convergence(model, ccfg["levels"], grid, m_paths,
-                                   p=ccfg["p"], seed=seed, workers=workers)
-    prev = None
-    for n1, n2, val in table:
-        ok = prev is None or val <= prev + 1e-15
-        prev = val
-        all_pass &= ok
-        rows.append(("truncation", mid, f"{n1:g}->{n2:g}", grid.steps,
-                     m_paths, seed, val, ok))
-    if isinstance(model, OrnsteinUhlenbeckModel):
-        # closed-form Euler-chain law vs continuous law: weak error per N
-        mean_inf, var_inf = gaussian_law(model, grid.horizon)
-        errs = []
-        for steps in ccfg["halving_steps"]:
-            mean_n, var_n = gaussian_law(model, grid.horizon, steps=steps)
-            err = float(np.max(np.abs(mean_n - mean_inf))
-                        + np.max(np.abs(var_n - var_inf)))
-            errs.append(err)
-            rows.append(("halving", mid, f"N={steps}", steps, m_paths, seed,
-                         err, True))
-        if len(errs) >= 2 and min(errs) > 0:
-            hs = np.asarray(ccfg["halving_steps"], dtype=float)
-            slope = float(np.polyfit(np.log(grid.horizon / hs),
-                                     np.log(errs), 1)[0])
-            ok = abs(slope - 1.0) <= 0.3
-            all_pass &= ok
-            rows.append(("halving_slope", mid, "dt_order", grid.steps,
-                         m_paths, seed, slope, ok))
-    f = outdir / "converge.csv"
-    write_csv(f, ["study", "model", "param", "N", "M", "seed", "value",
-                  "pass"], rows)
-    return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), [f]
+    seed, m_paths = cfg["seed"], cfg["paths"]
+    table = [("truncation", f"{n1:g}->{n2:g}", grid.steps, val, ok) for n1, n2, val, ok in
+             truncation_convergence(model, ccfg["levels"], grid, m_paths, p=ccfg["p"],
+                                    seed=seed, workers=cfg["workers"])]
+    table += step_halving_checks(model, grid, ccfg["halving_steps"])
+    rows = [(study, cfg["model"]["id"], param, n, m_paths, seed, val, ok)
+            for study, param, n, val, ok in table]
+    return write_checks(outdir / "converge.csv",
+                        ["study", "model", "param", "N", "M", "seed", "value",
+                         "pass"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,20 @@ The estimators use the representation
 where the indicator is over the orthant {x : x_i > y_i for all i} and H is
 the exact discrete IBP weight.  Kernel density estimates, closed-form
 Gaussian laws for the linear models, and an exponential-quadratic decay
-envelope serve as cross-checks.
+envelope serve as cross-checks; `density_checks` decides by them whether
+each `density.csv` row passes.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .malliavin import DegenerateCovarianceError, chain_batch, weights_from_chain
+from .malliavin import DegenerateCovarianceError, alpha_tag, chain_batch, weights_from_chain
 from .models import OrnsteinUhlenbeckModel, TruncationFamily
 from .parallel import map_chunks
 from .simulate import TimeGrid, sample_noise_block
@@ -63,9 +65,7 @@ def full_alpha(dim: int, alpha) -> tuple:
 def _orthant_estimates(xn, h, valid, ys, alpha):
     """Mean and SE of (-1)^|alpha| H * 1_{X > y} over valid paths, per grid
     point: the estimate of d_alpha rho when H is the weight H_(1..d, alpha)."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[1] != xn.shape[1]:
-        ys = ys.reshape(-1, xn.shape[1])
+    ys = np.asarray(ys, dtype=float).reshape(-1, xn.shape[1])
     xv = xn[valid]
     hv = (-1.0) ** len(alpha) * h[valid]
     m = len(hv)
@@ -137,7 +137,7 @@ def kde_risk(samples, ys):
         kvals = norm * e
         var_term = kvals.std(ddof=1) / np.sqrt(m)
         # second derivative of the kernel in each dim: (z^2 - 1)/h^2 * K
-        curv = np.abs(np.mean(kvals[:, None] * (z * z - 1.0) / (h * h) ** 1, axis=0))
+        curv = np.abs(np.mean(kvals[:, None] * (z * z - 1.0) / (h * h), axis=0))
         bias_term = 0.5 * float(np.sum(h * h * curv))
         risk[i] = var_term + bias_term
     return est, risk
@@ -253,3 +253,54 @@ def fit_decay_envelope(ys, estimates, ses, t, x0, c2, gamma2, alpha2,
     hold_pass = bool(np.all(np.abs(estimates[hold_idx]) <= bound[hold_idx]))
     slope = float(np.polyfit(r2[idx], np.log(np.abs(estimates[idx])), 1)[0])
     return DecayCheck(envelope=bound, holdout_pass=hold_pass, tail_slope=slope)
+
+
+# ---------------------------------------------------------------------------
+# The density study and its pass rules
+# ---------------------------------------------------------------------------
+
+def density_checks(fam, grid: TimeGrid, n_paths: int, seed: int, alphas, ys,
+                   env_fit=None, workers: int = 1) -> list:
+    """The `density.csv` rows after (model, n, N, M, seed): per alpha of
+    `alphas` (1-based) and y of `ys`, (y, alpha, estimate, se, kde, oracle,
+    envelope, pass) at the point (y, ..., y), all from one weight pass.
+    A row passes iff its estimate is within 3 se + 1e-12 of the Euler
+    chain's exact law (Brownian and OU) or, for other models at alpha = (),
+    within 3 (se + risk) of the KDE of the first 50000 paths; and, given the
+    generator fit `env_fit`, at most 3 se above a finite decay envelope.  An
+    envelope too few estimates can fit fails every row of its alpha."""
+    linear = isinstance(fam.base, OrnsteinUhlenbeckModel)
+    ys = np.asarray(ys, dtype=float)
+    ygrid = np.repeat(ys[:, None], fam.dim, axis=1)
+    alphas0 = [tuple(a - 1 for a in alpha) for alpha in alphas]
+    xn, h, valid = weight_samples(
+        fam, grid, n_paths, seed, [full_alpha(fam.dim, a) for a in alphas0], workers=workers)
+    count_drops(valid, n_paths)
+    rows = []
+    for alpha, alpha0, h_alpha in zip(alphas, alphas0, h):
+        tag = alpha_tag(alpha)
+        est, se = _orthant_estimates(xn, h_alpha, valid, ygrid, alpha0)
+        kde_vals = oracle = env_vals = np.full(len(ys), np.nan)
+        if linear:
+            oracle = gaussian_oracle(fam.base, grid.horizon, ygrid, alpha0,
+                                     steps=grid.steps)
+            ok = np.abs(est - oracle) <= 3 * se + 1e-12
+        elif not alpha0:
+            kde_vals, risk = kde_risk(xn[:50000][valid[:50000]], ygrid)
+            ok = np.abs(est - kde_vals) <= 3 * (se + risk)
+        else:
+            ok = np.full(len(ys), True)
+        if env_fit is not None:
+            try:
+                env_vals = fit_decay_envelope(
+                    ygrid, est, se, grid.horizon, fam.x0, c2=fam.constants.c2,
+                    gamma2=env_fit.gamma_p, alpha2=env_fit.alpha_p,
+                    lambda0=fam.constants.lambda_min).envelope
+            except ValueError as e:  # too few significant estimates to fit
+                print(f"envelope check failed (alpha {tag}): {e}", file=sys.stderr)
+                ok[:] = False
+            else:
+                ok &= ~np.isfinite(env_vals) | (np.abs(est) <= env_vals + 3 * se)
+        rows += [(y, tag, *vals) for y, *vals in
+                 zip(ys, est, se, kde_vals, oracle, env_vals, ok)]
+    return rows

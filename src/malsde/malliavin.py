@@ -284,6 +284,11 @@ def weight_alpha(model, dt, dW, alpha):
     return weights_from_chain(model, ch, [alpha])[0], ch
 
 
+def alpha_tag(alpha) -> str:
+    """A multi-index as report rows write it; "0" is alpha = ()."""
+    return "".join(str(a) for a in alpha) or "0"
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Hermite oracle for the IBP identity
 # ---------------------------------------------------------------------------

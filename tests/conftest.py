@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from malsde.models import (
@@ -6,7 +5,6 @@ from malsde.models import (
     DoubleWell1DModel,
     DoubleWell2DModel,
     OrnsteinUhlenbeckModel,
-    TruncationFamily,
 )
 
 
@@ -34,13 +32,3 @@ def dw2():
 @pytest.fixture
 def zoo(bm, ou, dw1, dw2):
     return {"bm": bm, "ou": ou, "double-well-1d": dw1, "double-well-2d": dw2}
-
-
-def fam(model, level=8.0):
-    return TruncationFamily(model, level)
-
-
-def relerr(a, b, floor=1e-12):
-    a, b = np.asarray(a), np.asarray(b)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / scale))

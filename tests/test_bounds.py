@@ -20,6 +20,7 @@ from malsde.bounds import (
     invcov_moment_scaling,
     invcov_reference_slopes,
     invcov_slope_checks,
+    step_halving_checks,
     tail_check,
     truncation_convergence,
 )
@@ -493,7 +494,7 @@ def test_truncation_convergence_rows(dw1):
     grid = TimeGrid(1.0, 32)
     base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
     rows = truncation_convergence(base, (2.0, 4.0, 8.0), grid, 20000, p=2)
-    vals = [v for _, _, v in rows]
+    vals = [v for _, _, v, _ in rows]
     assert vals[0] >= vals[1]  # deeper truncations agree on more paths
     assert vals[-1] <= 1e-3  # [DERIVED] exits beyond level 4 are rare
     with pytest.raises(ValueError):
@@ -580,8 +581,48 @@ def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
         assert np.any(all_first[1] == N - 1)  # and some paths only for their last step
     table = truncation_convergence(base, levels, grid, n_paths, p=p, seed=seed,
                                    chunk=chunk)
-    assert table == [(n1, n2, float((sum(col) / n_paths) ** (1.0 / p)))
-                     for n1, n2, col in zip(levels, levels[1:], zip(*ref))]
+    vals = [float((sum(col) / n_paths) ** (1.0 / p)) for col in zip(*ref)]
+    flags = [True] + [b <= a + 1e-15 for a, b in zip(vals, vals[1:])]
+    assert table == list(zip(levels, levels[1:], vals, flags))
+
+
+def test_truncation_convergence_flags_a_rising_value(dw1, monkeypatch):
+    # planted pair sums of one chunk of one path, so at p = 1 the values are
+    # the sums: a rise within 1e-15 is round-off, a larger one fails its row
+    sums = [1e-3, 0.0, 5e-16, 0.25]
+    monkeypatch.setattr(malsde.bounds, "_convergence_chunk", lambda *args: sums)
+    rows = truncation_convergence(dw1, (1.0, 2.0, 4.0, 8.0, 16.0), TimeGrid(1.0, 8), 1, p=1)
+    assert [v for _, _, v, _ in rows] == sums
+    assert [ok for *_, ok in rows] == [True, True, True, False]
+
+
+def _planted_law(order):
+    """A stand-in for `gaussian_law` whose Euler chain's mean is off the
+    continuous one by exactly dt^order."""
+    def law(model, t, steps=None):
+        return np.array([0.0 if steps is None else (t / steps) ** order]), np.ones(1)
+    return law
+
+
+@pytest.mark.parametrize("order", [0.6, 0.75, 1.0, 1.25, 1.4, 2.0])
+def test_step_halving_slope_row_needs_euler_order_one(order, ou, monkeypatch):
+    monkeypatch.setattr(malsde.bounds, "gaussian_law", _planted_law(order))
+    rows = step_halving_checks(ou, TimeGrid(1.0, 64), [64, 128, 256])
+    assert [r[:3] for r in rows] == [("halving", "N=64", 64), ("halving", "N=128", 128),
+                                     ("halving", "N=256", 256),
+                                     ("halving_slope", "dt_order", 64)]
+    assert [r[3] for r in rows[:3]] == [(1.0 / n) ** order for n in (64, 128, 256)]
+    assert rows[-1][3] == pytest.approx(order, rel=1e-9)
+    # the halving rows themselves cannot fail; the slope row fails off 1 +- 0.3
+    assert [r[4] for r in rows] == [True, True, True, abs(order - 1.0) <= 0.3]
+
+
+def test_step_halving_rows_of_the_exact_laws(ou, dw1):
+    rows = step_halving_checks(ou, TimeGrid(1.0, 64), [64, 128, 256])
+    assert rows[-1][0] == "halving_slope" and rows[-1][4]
+    assert abs(rows[-1][3] - 1.0) < 0.05  # [DERIVED] the Euler weak order is 1
+    assert len(step_halving_checks(ou, TimeGrid(1.0, 64), [64])) == 1  # no slope
+    assert step_halving_checks(dw1, TimeGrid(1.0, 64), [64, 128]) == []  # no law
 
 
 @pytest.mark.parametrize("levels", [(4.0,), (4.0, 4.0)])

@@ -173,11 +173,12 @@ def test_density_linear_model_needs_no_kde(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the generator fit runs scipy.optimize; start-up should not pay for
-    # it, nor for scipy.special or jsonschema, which the CLI does not use
+    # only the generator fit runs scipy.optimize and only the manifest reads
+    # scipy's version; start-up should not pay for them, nor for
+    # scipy.special or jsonschema, which the CLI does not use
     src = str(Path(malsde.__file__).parents[1])
     code = ("import sys, malsde.cli; sys.exit(sum(m in sys.modules for m in "
-            "('scipy.optimize', 'scipy.special', 'jsonschema')))")
+            "('scipy', 'scipy.optimize', 'scipy.special', 'jsonschema')))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

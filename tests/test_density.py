@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import malsde.density
+from malsde.bounds import fit_generator_constants
 from malsde.density import (
+    density_checks,
     fit_decay_envelope,
     gaussian_law,
     gaussian_oracle,
@@ -264,3 +267,92 @@ def test_weight_samples_shapes():
             ref, ch = weight_alpha(fam, grid.dt, dW, alpha)
             assert np.array_equal(h_alpha[lo:hi], ref)
         assert np.array_equal(xn[lo:hi], ch.X[:, -1, :])
+
+
+# ---------------------------------------------------------------------------
+# The density checks' pass rules
+# ---------------------------------------------------------------------------
+
+def _plant(monkeypatch, name, change):
+    """Make density.<name> hand its result, after change(result, *args), to
+    `density_checks`."""
+    orig = getattr(malsde.density, name)
+
+    def planted(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        change(out, *args)
+        return out
+    monkeypatch.setattr(malsde.density, name, planted)
+
+
+def _flags(rows):
+    return [bool(r[-1]) for r in rows]
+
+
+@pytest.mark.parametrize("k, passes", [(2.9, True), (3.1, False)])
+def test_density_check_linear_row_within_3_se_of_the_exact_law(ou, k, passes,
+                                                               monkeypatch):
+    fam, grid, ys = TruncationFamily(ou, 8.0), TimeGrid(1.0, 16), [-0.5, 0.0, 0.5, 1.0]
+    law = gaussian_oracle(ou, 1.0, np.array(ys)[:, None], steps=grid.steps)
+
+    def off_by_k_se(out, *args):
+        est, se = out
+        est[2] = law[2] + k * se[2]
+    _plant(monkeypatch, "_orthant_estimates", off_by_k_se)
+    rows = density_checks(fam, grid, 4000, 0, [[]], ys)
+    assert [r[:2] for r in rows] == [(y, "0") for y in ys]
+    assert [r[5] for r in rows] == list(law)  # the oracle column
+    assert _flags(rows) == [True, True, passes, True]
+
+
+@pytest.mark.parametrize("k, passes", [(2.9, True), (3.1, False)])
+def test_density_check_nonlinear_row_within_3_se_plus_risk_of_the_kde(dw1, k, passes,
+                                                                     monkeypatch):
+    fam, grid, ys = TruncationFamily(dw1, 4.0), TimeGrid(1.0, 16), [-0.5, 0.0, 0.5]
+    seen = {}
+    _plant(monkeypatch, "_orthant_estimates", lambda out, *args: seen.update(est=out))
+
+    def off_by_k_se_plus_risk(out, *args):
+        kde_vals, risk = out
+        est, se = seen["est"]
+        kde_vals[1] = est[1] + k * (se[1] + risk[1])
+    _plant(monkeypatch, "kde_risk", off_by_k_se_plus_risk)
+    rows = density_checks(fam, grid, 2000, 0, [[], [1]], ys)
+    assert [r[1] for r in rows] == ["0"] * 3 + ["1"] * 3
+    # no oracle and no envelope; a nonlinear alpha != () row has no kde either
+    assert all(np.isnan(r[5]) and np.isnan(r[6]) for r in rows)
+    assert np.all(np.isfinite([r[4] for r in rows[:3]]))
+    assert all(np.isnan(r[4]) for r in rows[3:])
+    assert _flags(rows) == [True, passes, True] + [True] * 3
+
+
+@pytest.mark.parametrize("k, passes", [(2.9, True), (3.1, False)])
+def test_density_check_row_at_most_3_se_above_its_envelope(ou, k, passes, monkeypatch):
+    fam, grid = TruncationFamily(ou, 8.0), TimeGrid(1.0, 16)
+    ys = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+    def below_by_k_se(out, ys, est, se, *args):
+        out.envelope[3] = abs(est[3]) - k * se[3]
+        out.envelope[0] = np.nan  # a row whose envelope is not finite skips the rule
+    _plant(monkeypatch, "fit_decay_envelope", below_by_k_se)
+    rows = density_checks(fam, grid, 4000, 0, [[]], ys, fit_generator_constants(fam, 2))
+    assert np.isnan(rows[0][6]) and np.all(np.isfinite([r[6] for r in rows[1:]]))
+    assert _flags(rows) == [True] * 3 + [passes] + [True] * 3
+
+
+def test_density_check_envelope_fit_failure_fails_every_row_of_its_alpha(ou, monkeypatch,
+                                                                         capsys):
+    fam, grid, ys = TruncationFamily(ou, 8.0), TimeGrid(1.0, 16), [-1.0, 0.0, 0.5, 1.0]
+    orig = malsde.density.fit_decay_envelope
+
+    def fails_for_order_one(ys, est, *args, **kwargs):
+        if fails_for_order_one.calls == 1:
+            raise ValueError("planted")
+        fails_for_order_one.calls += 1
+        return orig(ys, est, *args, **kwargs)
+    fails_for_order_one.calls = 0
+    monkeypatch.setattr(malsde.density, "fit_decay_envelope", fails_for_order_one)
+    rows = density_checks(fam, grid, 4000, 0, [[], [1]], ys, fit_generator_constants(fam, 2))
+    assert _flags(rows) == [True] * 4 + [False] * 4
+    assert all(np.isnan(r[6]) for r in rows[4:])
+    assert capsys.readouterr().err == "envelope check failed (alpha 1): planted\n"
