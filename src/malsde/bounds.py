@@ -5,8 +5,9 @@ bound is checked by Monte Carlo against its displayed right-hand side.  Where
 a bound carries unknown absolute constants, the check is split into a
 scaling-exponent fit and a uniformity-in-truncation-level spread check, which
 are constant-free.
-Each study decides its rows' pass: `BoundReport`, `invcov_slope_checks`,
-`truncation_convergence` and `step_halving_checks`.
+Each study builds its rows and decides their pass: `bound_checks` every
+`bounds.csv` row, `truncation_convergence` and `step_halving_checks` the
+`converge.csv` rows.
 """
 
 from __future__ import annotations
@@ -196,16 +197,14 @@ def exp_moment_check(fam, fit: GeneratorFit, zetas, sups) -> list[BoundReport]:
     """
     c2 = fam.constants.c2
     reports = []
-    for zeta, eta, z in zip(zetas, _exp_etas(fam, fit, zetas), sups):
+    for zeta, z in zip(zetas, sups):
         zmax = float(np.max(z))
         w = np.exp(z - zmax)
         lhs = float(np.exp(zmax + np.log(np.mean(w))))
         se = float(np.exp(zmax) * np.std(w, ddof=1) / np.sqrt(len(z)))
         rhs = float((8 * c2 * zeta ** 2 + 2) * np.exp(-zeta * fit.ratio))
-        reports.append(BoundReport(
-            "exp_moment", f"zeta={zeta:g}", lhs, se, rhs,
-            {"zeta": zeta, "eta": eta, "c2": c2, "alpha2": fit.alpha_p,
-             "gamma2": fit.gamma_p, "alpha2_raw": fit.alpha_raw}))
+        reports.append(BoundReport("exp_moment", f"zeta={zeta:g}", lhs, se, rhs,
+                                   {"zeta": zeta, "alpha2_raw": fit.alpha_raw}))
     return reports
 
 
@@ -226,10 +225,8 @@ def tail_check(fam, fit: GeneratorFit, horizon, xt, y_offsets) -> list[BoundRepo
         se = float(np.sqrt(max(lhs * (1 - lhs), 1.0 / n_paths) / n_paths))
         r2 = float(np.sum((y - x0) ** 2))
         rhs = float((32 * c2 + 2) * np.exp(-2 * fit.ratio - 2 * np.exp(-eta * horizon) * r2))
-        reports.append(BoundReport(
-            "tail", f"y_off={float(off):g}", lhs, se, rhs,
-            {"offset": float(off), "eta": eta, "c2": c2,
-             "alpha2": fit.alpha_p, "gamma2": fit.gamma_p}))
+        reports.append(BoundReport("tail", f"y_off={float(off):g}", lhs, se, rhs,
+                                   {"offset": float(off)}))
     return reports
 
 
@@ -424,27 +421,36 @@ def invcov_exact_slope(model, times, p, steps: int) -> float:
     return float(np.polyfit(np.log(times), log_m, 1)[0])
 
 
-def invcov_slope_checks(process, scaling: InvCovScaling, times, steps: int) -> list:
-    """(rhs, margin, passed) per p of an `invcov_moment_scaling` fit of `process`.
+def invcov_slope_checks(fam, times, p_list, n_paths: int, steps: int, seed=0,
+                        workers=1) -> list:
+    """The invcov_slope rows (check, N, param, lhs, se, rhs, margin, pass) of an
+    `invcov_moment_scaling` fit, one per p; param names the displayed exponents.
 
-    For untruncated Brownian or OU dynamics Q(t) is deterministic, so the
-    fitted slope must be `invcov_exact_slope` (the rhs) up to round-off: the
-    margin is the tolerance left, `_INVCOV_SLOPE_RTOL max(1, |rhs|) - |lhs - rhs|`,
-    and the row passes iff it is >= 0.  A truncation family bends the drift of
-    paths that leave its ball, so Q is random there, and no exact slope is
-    known for the nonlinear models: those rows report the constant-sigma
-    exponent -d p as rhs, margin rhs - lhs, and pass.
+    For Brownian or OU dynamics the slope is fitted on the untruncated base,
+    whose Q(t) is deterministic, so it must be `invcov_exact_slope` (the rhs)
+    up to round-off: the margin is the tolerance left, `_INVCOV_SLOPE_RTOL
+    max(1, |rhs|) - |lhs - rhs|`, and the row passes iff it is >= 0.  The
+    nonlinear models are fitted on fam, whose Q is random, and no exact slope
+    is known: those rows report the constant-sigma exponent -d p as rhs,
+    margin rhs - lhs, and pass.
     """
-    checks = []
+    linear = isinstance(fam.base, OrnsteinUhlenbeckModel)
+    process = fam.base if linear else fam
+    scaling = invcov_moment_scaling(process, times, p_list, n_paths, steps=steps,
+                                    seed=seed, workers=workers)
+    rows = []
     for p, slope in zip(scaling.p_list, scaling.slopes):
-        if isinstance(process, OrnsteinUhlenbeckModel):
+        refs = invcov_reference_slopes(fam.dim, p)
+        if linear:
             rhs = invcov_exact_slope(process, times, p, steps)
             margin = _INVCOV_SLOPE_RTOL * max(1.0, abs(rhs)) - abs(slope - rhs)
-            checks.append((rhs, margin, bool(margin >= 0)))
+            passed = bool(margin >= 0)
         else:
-            rhs = invcov_reference_slopes(process.dim, p)["constant_sigma"]
-            checks.append((rhs, rhs - slope, True))
-    return checks
+            rhs, passed = refs["constant_sigma"], True
+            margin = rhs - slope
+        param = f"p={p};hyp={refs['moment_hypothesis']:g};app={refs['appendix_lemma']:g}"
+        rows.append(("invcov_slope", steps, param, slope, 0.0, rhs, margin, passed))
+    return rows
 
 
 def invcov_reference_slopes(dim: int, p: float) -> dict:
@@ -454,6 +460,27 @@ def invcov_reference_slopes(dim: int, p: float) -> dict:
         "moment_hypothesis": -dim * (p - 0.5),
         "appendix_lemma": -dim * (p - 0.5) - 2,
     }
+
+
+def bound_checks(fam, levels, grid: TimeGrid, n_paths: int, seed, zetas, y_offsets,
+                 p_list, t_grid, invcov_steps: int, workers=1) -> list:
+    """Every `bounds.csv` row as (check, N, param, lhs, se, rhs, margin, pass).
+
+    First the generator_fit row: the holdout violations of fam's fitted
+    constants (`fit_generator_constants`, p = 2) against rhs 0, so any
+    violation fails it.  Then the `covQ_moment_check` rows on those
+    constants at grid.steps, and the `invcov_slope_checks` rows at
+    invcov_steps.
+    """
+    fit = fit_generator_constants(fam, 2)
+    param = f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}"
+    reports = [BoundReport("generator_fit", param, float(fit.holdout_violations), 0.0, 0.0)]
+    reports += covQ_moment_check(fam, levels, grid, n_paths, fit, zetas, y_offsets,
+                                 p_list, seed=seed, workers=workers)
+    rows = [(rep.check, grid.steps, rep.param, rep.lhs, rep.se, rep.rhs, rep.margin,
+             rep.passed) for rep in reports]
+    return rows + invcov_slope_checks(fam, t_grid, p_list, n_paths, invcov_steps,
+                                      seed=seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +517,9 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     Each chunk sweeps the levels from the top down and re-simulates at a lower
     level only the paths that leave its ball, each from its first step
     outside it (`_convergence_chunk`); the sums are bitwise those of a full
-    Euler pass per level.  Returns (n_lo, n_hi, value, passed) rows in level
-    order; a row fails iff its value exceeds the previous row's by > 1e-15.
+    Euler pass per level.  Returns ("truncation", "n_lo->n_hi", N, value,
+    passed) rows in level order, the row shape of `step_halving_checks`; a
+    row fails iff its value exceeds the previous row's by > 1e-15.
     """
     levels = _distinct_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -502,7 +530,8 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     parts = map_chunks(task, n_paths, chunk, workers)
     vals = [float((sum(col) / n_paths) ** (1.0 / p)) for col in zip(*parts)]
     passed = [True] + [b <= a + 1e-15 for a, b in zip(vals, vals[1:])]
-    return list(zip(levels, levels[1:], vals, passed))
+    return [("truncation", f"{n1:g}->{n2:g}", grid.steps, val, ok)
+            for n1, n2, val, ok in zip(levels, levels[1:], vals, passed)]
 
 
 def step_halving_checks(model, grid: TimeGrid, halving_steps) -> list:

@@ -3,8 +3,10 @@
 Subcommands: simulate, density, bounds, oracle, converge.  Configs are strict
 JSON (unknown keys rejected); outputs are CSV files with 17-significant-digit
 floats plus a JSON run manifest.  Given the same config and seed, report
-bytes are identical at any worker count.  The studies decide each row's pass
-(`density.density_checks`, `bounds`); this module only writes the rows.
+bytes are identical at any worker count.  The studies build each check CSV's
+rows and decide their pass (`density.density_checks`, `bounds.bound_checks`,
+`bounds.truncation_convergence` and `bounds.step_halving_checks`); this
+module adds the config columns (model, n, M, seed) and writes the rows.
 
 Exit codes: 0 success, 1 failed check, 2 config error, 3 numerical error.
 """
@@ -24,24 +26,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundReport,
-    covQ_moment_check,
+    bound_checks,
     fit_generator_constants,
-    invcov_moment_scaling,
-    invcov_reference_slopes,
-    invcov_slope_checks,
     step_halving_checks,
     truncation_convergence,
 )
 from .density import density_checks
 from .malliavin import DegenerateCovarianceError, alpha_tag, quadrature_oracle
-from .models import (
-    MODEL_IDS,
-    ModelDefinitionError,
-    OrnsteinUhlenbeckModel,
-    TruncationFamily,
-    make_model,
-)
+from .models import MODEL_IDS, ModelDefinitionError, TruncationFamily, make_model
 from .simulate import NumericalBlowupError, TimeGrid, moment_estimate
 
 EXIT_OK = 0
@@ -380,38 +372,16 @@ def cmd_density(cfg, outdir: Path) -> tuple[int, list[Path]]:
 
 
 def cmd_bounds(cfg, outdir: Path) -> tuple[int, list[Path]]:
-    model, fam, grid = _build(cfg)
+    _, fam, grid = _build(cfg)
     bcfg = cfg["bounds"]
-    seed, m_paths, workers = cfg["seed"], cfg["paths"], cfg["workers"]
-    levels = cfg["truncation_levels"]
-    mid = cfg["model"]["id"]
-    fit = fit_generator_constants(fam, 2)
-    reports = [BoundReport(
-        "generator_fit",
-        f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}",
-        float(fit.holdout_violations), 0.0, 0.0)]
-    reports += covQ_moment_check(fam, levels, grid, m_paths, fit, bcfg["zeta_list"],
-                                 bcfg["y_offsets"], bcfg["p_list"], seed=seed,
-                                 workers=workers)
-    rows = [(rep.check, mid, fam.level, grid.steps, m_paths, seed, rep.param,
-             rep.lhs, rep.se, rep.rhs, rep.margin, rep.passed) for rep in reports]
-    # for Brownian and OU dynamics the slope is fitted on the untruncated
-    # process, whose Q(t) is deterministic, so the row can be judged exactly
-    process = model if isinstance(model, OrnsteinUhlenbeckModel) else fam
-    scaling = invcov_moment_scaling(process, bcfg["t_grid"], bcfg["p_list"],
-                                    m_paths, steps=bcfg["invcov_steps"],
-                                    seed=seed, workers=workers)
-    checks = invcov_slope_checks(process, scaling, bcfg["t_grid"], bcfg["invcov_steps"])
-    for p, slope, (rhs, margin, passed) in zip(scaling.p_list, scaling.slopes, checks):
-        refs = invcov_reference_slopes(fam.dim, p)
-        rows.append(("invcov_slope", mid, fam.level, bcfg["invcov_steps"],
-                     m_paths, seed,
-                     f"p={p};hyp={refs['moment_hypothesis']:g};"
-                     f"app={refs['appendix_lemma']:g}",
-                     slope, 0.0, rhs, margin, passed))
+    rows = bound_checks(fam, cfg["truncation_levels"], grid, cfg["paths"], cfg["seed"],
+                        bcfg["zeta_list"], bcfg["y_offsets"], bcfg["p_list"],
+                        bcfg["t_grid"], bcfg["invcov_steps"], cfg["workers"])
     return write_checks(outdir / "bounds.csv",
                         ["check", "model", "n", "N", "M", "seed", "param", "lhs",
-                         "se", "rhs", "margin", "pass"], rows)
+                         "se", "rhs", "margin", "pass"],
+                        [(check, cfg["model"]["id"], fam.level, n, cfg["paths"],
+                          cfg["seed"], *rest) for check, n, *rest in rows])
 
 
 _ORACLE_FUNCS = {
@@ -442,12 +412,10 @@ def cmd_oracle(cfg, outdir: Path) -> tuple[int, list[Path]]:
 def cmd_converge(cfg, outdir: Path) -> tuple[int, list[Path]]:
     model, _, grid = _build(cfg)
     ccfg = cfg["converge"]
-    seed, m_paths = cfg["seed"], cfg["paths"]
-    table = [("truncation", f"{n1:g}->{n2:g}", grid.steps, val, ok) for n1, n2, val, ok in
-             truncation_convergence(model, ccfg["levels"], grid, m_paths, p=ccfg["p"],
-                                    seed=seed, workers=cfg["workers"])]
+    table = truncation_convergence(model, ccfg["levels"], grid, cfg["paths"],
+                                   p=ccfg["p"], seed=cfg["seed"], workers=cfg["workers"])
     table += step_halving_checks(model, grid, ccfg["halving_steps"])
-    rows = [(study, cfg["model"]["id"], param, n, m_paths, seed, val, ok)
+    rows = [(study, cfg["model"]["id"], param, n, cfg["paths"], cfg["seed"], val, ok)
             for study, param, n, val, ok in table]
     return write_checks(outdir / "converge.csv",
                         ["study", "model", "param", "N", "M", "seed", "value",

@@ -404,41 +404,57 @@ def test_invcov_exact_slope_of_linear_models(kappa):
         assert abs(slope - invcov_exact_slope(ou, times, p, steps)) <= 1e-12
 
 
-def test_invcov_slope_passes_judges_untruncated_linear_fits_only():
+def _plant_scaling(monkeypatch, scaling):
+    """Make `invcov_slope_checks` judge `scaling` in place of its own fit."""
+    monkeypatch.setattr(malsde.bounds, "invcov_moment_scaling", lambda *a, **k: scaling)
+
+
+def test_invcov_slope_passes_judges_untruncated_linear_fits_only(monkeypatch):
     times, steps = np.geomspace(0.1, 1.0, 5), 16
     # x0 far outside the level-1 ball: the family's paths all leave it
     ou = OrnsteinUhlenbeckModel(dim=1, x0=[3.0], horizon=1.0, kappa=2.0,
                                 mu=[0.0], sigma0=1.0)
-    fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
-    assert [c[2] for c in invcov_slope_checks(ou, fit, times, steps)] == [True, True]
-    off = dataclasses.replace(fit, slopes=fit.slopes + [0.0, 1e-6])
-    assert [c[2] for c in invcov_slope_checks(ou, off, times, steps)] == [True, False]
-    # under the truncation Q is random, so the fit is off the exact slope
-    # and the row is reported, not judged
     fam = TruncationFamily(ou, 1.0)
+    fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
+    rows = invcov_slope_checks(fam, times, (2, 4), 300, steps)
+    # the rows are judged on the untruncated base: its fit against its exact slope
+    assert [r[3] for r in rows] == list(fit.slopes)
+    assert [r[5] for r in rows] == [invcov_exact_slope(ou, times, p, steps) for p in (2, 4)]
+    assert [r[-1] for r in rows] == [True, True]
+    # under the truncation Q is random, so the family's own fit is off the
+    # exact slope, and is not the one the rows judge
     fam_fit = invcov_moment_scaling(fam, times, (2, 4), 300, steps=steps)
     assert np.all(np.abs(fam_fit.slopes - fit.slopes) > 1e-6)
-    assert [c[2] for c in invcov_slope_checks(fam, fam_fit, times, steps)] == [True, True]
+    _plant_scaling(monkeypatch, dataclasses.replace(fit, slopes=fit.slopes + [0.0, 1e-6]))
+    assert [r[-1] for r in invcov_slope_checks(fam, times, (2, 4), 300, steps)] == [
+        True, False]
 
 
-def test_invcov_slope_margin_is_the_tolerance_left():
+def test_invcov_slope_margin_is_the_tolerance_left(monkeypatch):
     # rhs is the exact slope the row is judged against, and margin >= 0
     # exactly when the row passes
     times, steps = np.geomspace(0.1, 1.0, 5), 16
     ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
                                 mu=[0.0], sigma0=1.0)
+    fam = TruncationFamily(ou, 8.0)
     fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
     exact = [invcov_exact_slope(ou, times, p, steps) for p in (2, 4)]
     tol = [malsde.bounds._INVCOV_SLOPE_RTOL * max(1.0, abs(e)) for e in exact]
-    for rhs, margin, passed in invcov_slope_checks(ou, fit, times, steps):
+    rows = invcov_slope_checks(fam, times, (2, 4), 300, steps)
+    for *_, rhs, margin, passed in rows:
         assert margin >= 0 and passed
-    assert [c[0] for c in invcov_slope_checks(ou, fit, times, steps)] == exact
-    off = dataclasses.replace(fit, slopes=np.array(exact) + [1.5 * tol[0], -1.5 * tol[1]])
-    for (rhs, margin, passed), t in zip(invcov_slope_checks(ou, off, times, steps), tol):
+    assert [r[5] for r in rows] == exact
+    # param names the displayed exponents of `invcov_reference_slopes`
+    assert [r[:3] for r in rows] == [("invcov_slope", steps, "p=2;hyp=-1.5;app=-3.5"),
+                                     ("invcov_slope", steps, "p=4;hyp=-3.5;app=-5.5")]
+    off =dataclasses.replace(fit, slopes=np.array(exact) + [1.5 * tol[0], -1.5 * tol[1]])
+    _plant_scaling(monkeypatch, off)
+    for (*_, rhs, margin, passed), t in zip(
+            invcov_slope_checks(fam, times, (2, 4), 300, steps), tol):
         assert margin == pytest.approx(-0.5 * t, rel=1e-6) and not passed
     # nonlinear rows keep the constant-sigma reference and pass
     dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 4.0)
-    assert invcov_slope_checks(dw, off, times, steps) == [
+    assert [r[5:] for r in invcov_slope_checks(dw, times, (2, 4), 300, steps)] == [
         (-2, -2 - off.slopes[0], True), (-4, -4 - off.slopes[1], True)]
 
 
@@ -494,7 +510,8 @@ def test_truncation_convergence_rows(dw1):
     grid = TimeGrid(1.0, 32)
     base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
     rows = truncation_convergence(base, (2.0, 4.0, 8.0), grid, 20000, p=2)
-    vals = [v for _, _, v, _ in rows]
+    assert [r[:3] for r in rows] == [("truncation", "2->4", 32), ("truncation", "4->8", 32)]
+    vals = [r[3] for r in rows]
     assert vals[0] >= vals[1]  # deeper truncations agree on more paths
     assert vals[-1] <= 1e-3  # [DERIVED] exits beyond level 4 are rare
     with pytest.raises(ValueError):
@@ -583,7 +600,8 @@ def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
                                    chunk=chunk)
     vals = [float((sum(col) / n_paths) ** (1.0 / p)) for col in zip(*ref)]
     flags = [True] + [b <= a + 1e-15 for a, b in zip(vals, vals[1:])]
-    assert table == list(zip(levels, levels[1:], vals, flags))
+    assert table == [("truncation", f"{a:g}->{b:g}", N, v, ok)
+                     for a, b, v, ok in zip(levels, levels[1:], vals, flags)]
 
 
 def test_truncation_convergence_flags_a_rising_value(dw1, monkeypatch):
@@ -592,7 +610,7 @@ def test_truncation_convergence_flags_a_rising_value(dw1, monkeypatch):
     sums = [1e-3, 0.0, 5e-16, 0.25]
     monkeypatch.setattr(malsde.bounds, "_convergence_chunk", lambda *args: sums)
     rows = truncation_convergence(dw1, (1.0, 2.0, 4.0, 8.0, 16.0), TimeGrid(1.0, 8), 1, p=1)
-    assert [v for _, _, v, _ in rows] == sums
+    assert [r[3] for r in rows] == sums
     assert [ok for *_, ok in rows] == [True, True, True, False]
 
 

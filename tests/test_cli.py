@@ -379,13 +379,13 @@ def test_invcov_slope_row_fails_off_the_exact_slope(tmp_path, monkeypatch):
     ok, bad = tmp_path / "ok", tmp_path / "bad"
     ok.mkdir(), bad.mkdir()
     assert _run(common + ["--out", ok]) == 0
-    fitted = malsde.cli.invcov_moment_scaling
+    fitted = malsde.bounds.invcov_moment_scaling
 
     def planted(*args, **kwargs):
         sc = fitted(*args, **kwargs)
         return dataclasses.replace(sc, slopes=sc.slopes + 1e-6)
 
-    monkeypatch.setattr(malsde.cli, "invcov_moment_scaling", planted)
+    monkeypatch.setattr(malsde.bounds, "invcov_moment_scaling", planted)
     assert _run(common + ["--out", bad]) == 1
     for out, passed in ((ok, "1"), (bad, "0")):
         with open(out / "bounds.csv") as f:
@@ -395,6 +395,35 @@ def test_invcov_slope_row_fails_off_the_exact_slope(tmp_path, monkeypatch):
         assert all((float(r["margin"]) >= 0) == (passed == "1") for r in rows)
         assert all(float(r["rhs"]) == pytest.approx(float(r["lhs"]), abs=1e-5)
                    for r in rows)
+
+
+def test_generator_fit_row_fails_on_a_holdout_violation(tmp_path, monkeypatch):
+    # fitted constants that one holdout point violates fail the generator_fit
+    # row (rhs 0) and the run; the constants themselves, and so every other
+    # row, are unchanged
+    common = ["bounds", "--set", "paths=2000", "--set", "grid.steps=16"]
+    ok, bad = tmp_path / "ok", tmp_path / "bad"
+    ok.mkdir(), bad.mkdir()
+    assert _run(common + ["--out", ok]) == 0
+    fitted = malsde.bounds.fit_generator_constants
+
+    def planted(*args, **kwargs):
+        return dataclasses.replace(fitted(*args, **kwargs), holdout_violations=1)
+
+    monkeypatch.setattr(malsde.bounds, "fit_generator_constants", planted)
+    assert _run(common + ["--out", bad]) == 1
+    rows = {}
+    for out in (ok, bad):
+        with open(out / "bounds.csv") as f:
+            rows[out] = list(csv.DictReader(f))
+    good_fit, bad_fit = rows[ok][0], rows[bad][0]
+    assert good_fit["check"] == bad_fit["check"] == "generator_fit"
+    assert (good_fit["lhs"], good_fit["margin"], good_fit["pass"]) == ("0", "0", "1")
+    assert (bad_fit["lhs"], bad_fit["margin"], bad_fit["pass"]) == ("1", "-1", "0")
+    moved = ("lhs", "margin", "pass")
+    assert ({k: v for k, v in bad_fit.items() if k not in moved}
+            == {k: v for k, v in good_fit.items() if k not in moved})
+    assert rows[bad][1:] == rows[ok][1:]
 
 
 def test_invcov_slope_row_passes_when_paths_leave_the_ball(tmp_path):
