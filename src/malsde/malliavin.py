@@ -27,13 +27,17 @@ Euler states in blocks of steps, and each block is written batch last
 straight into these arrays, so no full-size batch-first tensor is made.
 dW is read batch last per block and step major whole (`_row_divergences`),
 each in one fixed layout, so the results do not depend on the memory order
-of the dW they are given.  The results (`flow`'s X and S, every `ChainBatch`
-field) have the batch axis first; X, S and G are views of the arrays they
-come from.
+of the dW they are given.  The results (`flow`'s X and S, the weight inputs
+of `ChainBatch`) have the batch axis first; X, S and G are views of the
+arrays they come from.  `ChainBatch` also keeps the batch-last per-step
+arrays, for the order-2 weights.
 Iterated weights H_(i1,i2) = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j>
 additionally need one directional derivative of the inner weight, along
-w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; it is obtained by one complex step
-through the (everywhere complex-analytic) first-order pipeline.
+w = dt sum_j Qinv_{i2 j} G[:, :, j, :].  It comes from one real forward
+tangent pass along w over the stored chain (`_inner_pairing`): the values
+are read, only tangents are computed, and complex numbers appear only in
+one complex step of the model's second derivatives per step block, which
+gives the third derivatives no model provides.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class DegenerateCovarianceError(RuntimeError):
 
 @dataclass
 class ChainBatch:
-    """The per-path quantities the weight formulas read, batch axis first.
+    """The per-path quantities the weight formulas read, batch axis first,
+    and the batch-last per-step arrays they are built from.
 
     Shapes (B = paths, N = steps, d = dim):
       dW (B,N,d), X (B,N+1,d),
@@ -73,7 +78,12 @@ class ChainBatch:
         np.moveaxis(G, 0, -1) gives back),
       Q = dt S_N and Qinv (B,d,d), det_q and degenerate (B,),
       delta (B,d) = divergence of row j of DX,
-      gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a].
+      gamma (B,d,d,d) with gamma[b,j] = dt * sum_{k,a} (D_k^a Q) G[b,k,j,a];
+    batch last, as `_steps` and `chain_batch` build them:
+      sig (N,d,d,B), Js (N,d,d,d,B) = grad sigma, A (N,d,d,B) the step
+      Jacobians, E (N,d,d,d,B) their derivatives, S (N+1,d,d,B) and
+      P (N,d,d,B) the suffix products; the order-2 weights' tangent pass
+      reads them.
     """
 
     dt: float
@@ -86,6 +96,12 @@ class ChainBatch:
     degenerate: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
+    sig: np.ndarray
+    Js: np.ndarray
+    A: np.ndarray
+    E: np.ndarray
+    S: np.ndarray
+    P: np.ndarray
 
 
 def _last(a):
@@ -157,8 +173,10 @@ def chain_batch(model, dt, dW) -> ChainBatch:
     """Every ChainBatch field from one Euler pass, one S recursion and one
     suffix product.
 
-    Accepts complex dW; every operation is complex-analytic so the whole
-    object supports complex-step differentiation.
+    Also accepts complex dW: every operation is complex-analytic, so a
+    complex step through the whole chain differentiates it.  That is the
+    reference `_inner_pairing`'s real tangent pass is checked against; the
+    pipeline itself passes only real dW.
     """
     dW = np.asarray(dW)
     _, N, d = dW.shape
@@ -179,9 +197,10 @@ def chain_batch(model, dt, dW) -> ChainBatch:
     Qinv = np.linalg.inv(Q_safe)
 
     delta = _row_divergences(dt, dW, G, P, E, S)
-    gamma = _cov_row_derivatives(dt, G, sig, Js, A, E, S)
+    gamma, _ = _cov_row_derivatives(dt, G, sig, Js, A, E, S)
     return ChainBatch(dt=dt, dW=dW, X=X, G=np.moveaxis(G, -1, 0), Q=Q, Qinv=Qinv,
-                      det_q=det_q, degenerate=degenerate, delta=delta, gamma=gamma)
+                      det_q=det_q, degenerate=degenerate, delta=delta, gamma=gamma,
+                      sig=sig, Js=Js, A=A, E=E, S=S, P=P)
 
 
 def _row_divergences(dt, dW, G, P, E, S):
@@ -200,7 +219,7 @@ def _row_divergences(dt, dW, G, P, E, S):
     return _first(ito - dt * diag2)
 
 
-def _cov_row_derivatives(dt, G, sig, Js, A, E, S):
+def _cov_row_derivatives(dt, G, sig, Js, A, E, S, tangents=None):
     """gamma (B,d,d,d): gamma[b,j] = directional derivative of Q along
     v^j_{k,a} = dt G[b,k,j,a], from the batch-last arrays of `chain_batch`.
 
@@ -209,21 +228,58 @@ def _cov_row_derivatives(dt, G, sig, Js, A, E, S):
     tX for all d directions:
       tA = E.tX + Js.v_m,  tsig = Js.tX,  M = tA S_m A^T + tsig sig^T,
       tS_{m+1} = A tS A^T + M + M^T,  tX_{m+1} = A tX + sig v_m.
+
+    Returns (gamma, its tangent).  The tangent is None unless `tangents`
+    holds the batch-last tangents (tG, tsig, tJs, tA, tE, tS) of
+    (G, sig, Js, A, E, S) along one direction of dW; the pass then carries
+    every quantity above as a (value, tangent) pair and differentiates each
+    product by `_dual`.
     """
     N, d, _, B = sig.shape
-    tX = np.zeros((d, d, B), dtype=sig.dtype)     # (j, i, b)
-    tS = np.zeros((d, d, d, B), dtype=sig.dtype)  # (j, i, q, b)
+    values, tans = (G, sig, Js, A, E, S), tangents or (None,) * 6
+    tX = (np.zeros((d, d, B), dtype=sig.dtype), None)     # (j, i, b)
+    tS = (np.zeros((d, d, d, B), dtype=sig.dtype), None)  # (j, i, q, b)
     for m in range(N):
-        v = dt * G[m]                              # (j, a, b)
-        tA = (np.einsum("ipqb,jqb->jipb", E[m], tX)
-              + np.einsum("ilpb,jlb->jipb", Js[m], v))
-        tsig = np.einsum("ilpb,jpb->jilb", Js[m], tX)
-        M = (np.einsum("jipb,prb,qrb->jiqb", tA, S[m], A[m])
-             + np.einsum("jilb,qlb->jiqb", tsig, sig[m]))
-        tS = (np.einsum("ipb,jpqb,rqb->jirb", A[m], tS, A[m])
-              + M + np.swapaxes(M, 1, 2))
-        tX = np.einsum("ipb,jpb->jib", A[m], tX) + np.einsum("ilb,jlb->jib", sig[m], v)
-    return _first(dt * tS)
+        Gm, sm, Jm, Am, Em, Sm = [(a[m], None if t is None else t[m])
+                                  for a, t in zip(values, tans)]
+        v = _scaled(dt, Gm)                               # (j, a, b)
+        tA = _add(_dual("ipqb,jqb->jipb", Em, tX), _dual("ilpb,jlb->jipb", Jm, v))
+        tsig = _dual("ilpb,jpb->jilb", Jm, tX)
+        M = _add(_dual("jipb,prb,qrb->jiqb", tA, Sm, Am), _dual("jilb,qlb->jiqb", tsig, sm))
+        MT = [None if x is None else np.swapaxes(x, 1, 2) for x in M]
+        tS = _add(_add(_dual("ipb,jpqb,rqb->jirb", Am, tS, Am), M), MT)
+        tX = _add(_dual("ipb,jpb->jib", Am, tX), _dual("ilb,jlb->jib", sm, v))
+    gamma, tgamma = _scaled(dt, tS)
+    return _first(gamma), None if tgamma is None else _first(tgamma)
+
+
+# (value, tangent) pairs carry a tangent along one direction of dW; a None
+# tangent is zero and adds no term
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _add(p, q):
+    return p[0] + q[0], _plus(p[1], q[1])
+
+
+def _scaled(c, p):
+    return c * p[0], None if p[1] is None else c * p[1]
+
+
+def _tangent(spec, *ops):
+    """The tangent of np.einsum(spec) of the values of ops, by the product rule."""
+    vals = [v for v, _ in ops]
+    tan = None
+    for k, (_, t) in enumerate(ops):
+        if t is not None:
+            term = np.einsum(spec, *vals[:k], t, *vals[k + 1:])
+            tan = term if tan is None else np.add(tan, term, out=tan)
+    return tan
+
+
+def _dual(spec, *ops):
+    return np.einsum(spec, *(v for v, _ in ops)), _tangent(spec, *ops)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +295,73 @@ def weight_from_chain(ch: ChainBatch, i: int):
 
 
 def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
-    """<D H_(i1), sum_j Qinv_{i2 j} DX^j> per path: the pairing is linear in
-    its direction, so one complex step along w = dt sum_j Qinv_{i2 j} G[:, :, j, :].
+    """<D H_(i1), sum_j Qinv_{i2 j} DX^j> per path: the derivative of H_(i1)
+    along w = dt sum_j Qinv_{i2 j} G[:, :, j, :] (the pairing is linear in
+    its direction), by one real forward tangent of the chain along w.
 
-    w is contracted from the batch-last G, then laid out step major,
-    (N, B, d), so the stepped dW is step major like the noise: its Euler
-    steps read contiguous slices and its Ito term needs no copy.
+    Every value is read from `ch`; only tangents are computed, batch last:
+    tX_{m+1} = A_m tX_m + sigma_m w_m, tsig = Js.tX, tA = E.tX + Js.w,
+    tS forward, tP backward, tG = tP sigma + P tsig, tQ^-1 = -Q^-1 tQ Q^-1
+    (tQ = 0 on degenerate paths, whose Q^-1 is that of I), then tdelta, the
+    tangent of gamma and of H_(i1).  The third derivatives of b and sigma
+    in tE come from one complex step of the model's `drift_hess` and
+    `diffusion_hess` per step block at X + i eps tX, whose real part also
+    gives grad^2 sigma; those pointwise calls are the only complex arithmetic.
+    tX and w are dropped once read and tP is carried one step at a time, so
+    at most six (N, ..., B) tangent arrays are held beside `ch`.
     """
-    w = np.einsum("jb,kjab->kab", _last(ch.Qinv[:, i2]), np.moveaxis(ch.G, 0, -1))
-    w = ch.dt * np.ascontiguousarray(np.swapaxes(w, 1, 2))
-    dw = ch.dW + (1j * _CSTEP) * np.swapaxes(w, 0, 1)
-    hc = weight_from_chain(chain_batch(model, ch.dt, dw), i1)
-    return hc.imag / _CSTEP
+    dt, sig, Js, A, E, S, P = ch.dt, ch.sig, ch.Js, ch.A, ch.E, ch.S, ch.P
+    N, d, _, B = sig.shape
+    G = np.moveaxis(ch.G, 0, -1)
+    w = dt * np.einsum("jb,kjab->kab", _last(ch.Qinv[:, i2]), G)  # (N, d, B)
+    tX = np.zeros((N + 1, d, B))
+    for m in range(N):
+        tX[m + 1] = np.einsum("ipb,pb->ib", A[m], tX[m]) + np.einsum("ilb,lb->ib", sig[m], w[m])
+    tA = np.einsum("nipqb,nqb->nipb", E, tX[:-1])
+    tA += np.einsum("nilpb,nlb->nipb", Js, w)
+    tsig = np.einsum("nilpb,npb->nilb", Js, tX[:-1])
+
+    # tJs = grad^2 sigma . tX and tE, step block by step block as in `_steps`
+    Xs = np.swapaxes(ch.X, 0, 1)
+    tJs, tE = np.empty_like(Js), np.empty_like(E)
+    step = max(1, _BLOCK_WORDS // (max(B, 1) * d * d))
+    for lo in range(0, N, step):
+        blk = slice(lo, min(lo + step, N))
+        x = Xs[blk] + (1j * _CSTEP) * np.swapaxes(tX[blk], 1, 2)
+        hs = np.moveaxis(model.diffusion_hess(x), 1, -1)
+        hr = np.ascontiguousarray(hs.real)
+        tJs[blk] = np.einsum("nilpqb,nqb->nilpb", hr, tX[blk])
+        np.multiply(np.moveaxis(model.drift_hess(x).imag, 1, -1), dt / _CSTEP, out=tE[blk])
+        tE[blk] += np.einsum("nilpqb,nlb->nipqb", np.ascontiguousarray(hs.imag) / _CSTEP,
+                             _last(ch.dW[:, blk]))
+        tE[blk] += np.einsum("nilpqb,nlb->nipqb", hr, w[blk])
+    ito = np.einsum("kjab,kab->jb", G, w)  # the Ito term's derivative along w itself
+    del tX, w
+
+    tS = np.zeros_like(S)
+    for m in range(N):
+        M = (np.einsum("ipb,prb,qrb->iqb", tA[m], S[m], A[m])
+             + np.einsum("ilb,qlb->iqb", tsig[m], sig[m]))
+        tS[m + 1] = np.einsum("ipb,pqb,rqb->irb", A[m], tS[m], A[m]) + M + np.swapaxes(M, 0, 1)
+    trace = _tangent("mjqb,mqrpb,mrpb->jb", (P, None), (E, tE), (S[:-1], tS[:-1]))
+    # tP backward, one step at a time: tG and the trace term's tP part per step
+    tG = np.empty_like(G)
+    tP = np.zeros((d, d, B))
+    for m in range(N - 1, -1, -1):
+        tG[m] = _tangent("ijb,jlb->ilb", (P[m], tP), (sig[m], tsig[m]))
+        trace += np.einsum("jqb,qrpb,rpb->jb", tP, E[m], S[m])
+        tP = _tangent("ipb,pjb->ijb", (P[m], tP), (A[m], tA[m]))
+    ito += np.einsum("kjab,kba->jb", tG, np.ascontiguousarray(np.swapaxes(ch.dW, 0, 1)))
+    tdelta = _first(ito - dt * trace)
+    tQ = np.where(ch.degenerate[:, None, None], 0.0, _first(dt * tS[-1]))
+    tQinv = -ch.Qinv @ tQ @ ch.Qinv
+    _, tgamma = _cov_row_derivatives(dt, G, sig, Js, A, E, S,
+                                     tangents=(tG, tsig, tJs, tA, tE, tS))
+
+    # the tangent of weight_from_chain's H_(i1)
+    q = (ch.Qinv[:, i1], tQinv[:, i1])
+    return (_tangent("bj,bj->b", q, (ch.delta, tdelta))
+            + _tangent("bp,bjpq,bqj->b", q, (ch.gamma, tgamma), (ch.Qinv, tQinv)))
 
 
 def weights_from_chain(model, ch: ChainBatch, alphas):
@@ -259,9 +370,9 @@ def weights_from_chain(model, ch: ChainBatch, alphas):
 
     For alpha = (i1, i2) the recursion H_alpha = H_{i2}(H_{(i1)})
     = H_(i1) H_(i2) - <D H_(i1), sum_j Qinv_{i2 j} DX^j> is used, with the
-    pairing from one complex step through the first-order pipeline.  Each
-    H_(i) is computed once, and one complex pass is made per distinct
-    order-2 alpha.
+    pairing from one real tangent pass over `ch` (`_inner_pairing`); no
+    chain is re-run.  Each H_(i) is computed once, and one tangent pass is
+    made per distinct order-2 alpha.
     """
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) not in (1, 2) for alpha in alphas):
@@ -293,14 +404,14 @@ def alpha_tag(alpha) -> str:
 # Gauss-Hermite oracle for the IBP identity
 # ---------------------------------------------------------------------------
 
-def quadrature_oracle(fam, steps, funcs, alphas, nodes=64, horizon=None):
+def quadrature_oracle(fam, steps, funcs, alphas, horizon, nodes=64):
     """Verify E[d_alpha g(X_N) ] = E[g(X_N) H_alpha] by tensor quadrature.
 
     d = 1 and steps <= 3 so the increment space is at most 3-dimensional;
     both expectations are computed with `nodes` Gauss-Hermite points per
-    dimension, from one chain on the nodes.  Each entry of `funcs` is a
-    sequence (g, g', g'', ...) of callables.  Returns (lhs, rhs, gap) per
-    (g, alpha), g outer.
+    dimension, from one chain on the nodes over [0, horizon].  Each entry of
+    `funcs` is a sequence (g, g', g'', ...) of callables.  Returns
+    (lhs, rhs, gap) per (g, alpha), g outer.
     """
     if fam.dim != 1:
         raise ValueError("quadrature oracle is one-dimensional")
@@ -308,8 +419,7 @@ def quadrature_oracle(fam, steps, funcs, alphas, nodes=64, horizon=None):
         raise ValueError("steps must be <= 3 for the tensor oracle")
     if nodes < 40:
         raise ValueError("need at least 40 quadrature nodes per dimension")
-    T = fam.horizon if horizon is None else float(horizon)
-    dt = T / steps
+    dt = float(horizon) / steps
     z, w = np.polynomial.hermite.hermgauss(nodes)
     grids = np.meshgrid(*([z] * steps), indexing="ij")
     dW = np.sqrt(2.0 * dt) * np.stack([g.ravel() for g in grids], axis=1)[:, :, None]

@@ -105,9 +105,9 @@ def test_acceptance_2_quadrature_ibp_oracle():
                                                 sigma0=0.8), 4.0)
         cases = (((0,), 1e-8), ((0, 0), 1e-6))
         funcs = list(_ORACLE_FUNCS.values())
-        for fam in (ou, dw):
+        for fam, T in ((ou, 1.0), (dw, 0.5)):
             results = quadrature_oracle(fam, 2, funcs, [a for a, _ in cases],
-                                        nodes=128)
+                                        horizon=T, nodes=128)
             assert len(results) == len(funcs) * len(cases)
             for (lhs, rhs, gap), (alpha, tol) in zip(results, cases * len(funcs)):
                 assert gap <= tol, (fam.base.__class__.__name__, alpha, gap)

@@ -166,21 +166,37 @@ def test_inner_pairing_is_qinv_row_of_per_direction_steps(which, dw1, dw2):
 
 
 @pytest.mark.parametrize("which,alpha", [("dw2", (0, 1)), ("dw1", (0, 0))])
-def test_order2_weight_makes_one_complex_pass(which, alpha, dw1, dw2, monkeypatch):
+def test_order2_weight_makes_no_complex_chain_pass(which, alpha, dw1, dw2, monkeypatch):
+    # the pairing is a real tangent pass over the stored chain: no chain is
+    # re-run, and complex numbers reach only the pointwise second-derivative
+    # calls that give the third derivatives
     model = {"dw1": dw1, "dw2": dw2}[which]
     fam = TruncationFamily(model, 4.0)
     grid = TimeGrid(model.horizon, 8)
     dW = sample_noise_block(grid, 3, 0, 16, model.dim)
     ch = chain_batch(fam, grid.dt, dW)
-    calls = []
+    chains, complex_inputs = [], set()
 
     def counted(model, dt, dW):
-        calls.append(dW)
+        chains.append(dW)
         return chain_batch(model, dt, dW)
 
+    def watched(name):
+        method = getattr(fam, name)
+
+        def call(x):
+            if np.iscomplexobj(x):
+                complex_inputs.add(name)
+            return method(x)
+        return call
+
     monkeypatch.setattr(malliavin, "chain_batch", counted)
+    for name in ("drift", "drift_jac", "drift_hess", "diffusion", "diffusion_jac",
+                 "diffusion_hess"):
+        monkeypatch.setattr(fam, name, watched(name))
     weights_from_chain(fam, ch, [alpha])
-    assert [(np.iscomplexobj(c), len(c)) for c in calls] == [(True, 16)]
+    assert chains == []
+    assert complex_inputs == {"drift_hess", "diffusion_hess"}
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ def test_oracle_linear_model(alpha, tol):
     m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
-    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], nodes=64)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], horizon=1.0, nodes=64)
     assert gap <= tol  # [DERIVED] Gaussian integrands converge fast
 
 
@@ -200,7 +216,8 @@ def test_oracle_linear_model(alpha, tol):
 def test_oracle_brownian_all_step_counts(steps):
     m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
-    [(lhs, rhs, gap)] = quadrature_oracle(fam, steps, [COS], [(0,)], nodes=48)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, steps, [COS], [(0,)], horizon=1.0,
+                                          nodes=48)
     # [DERIVED] E[-sin(W_1)] = -sin(0) e^{-1/2} = 0 exactly by symmetry
     assert abs(lhs) <= 1e-12
     assert gap <= 1e-12
@@ -211,7 +228,7 @@ def test_oracle_nonlinear_model(alpha, tol):
     # short horizon keeps the Gauss-Hermite truncation error below tol
     m = DoubleWell1DModel(x0=[0.3], horizon=0.5, sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
-    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], nodes=128)
+    [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], horizon=0.5, nodes=128)
     assert abs(lhs) > 1e-3  # the identity is checked on a nontrivial value
     assert gap <= tol
 
@@ -219,12 +236,12 @@ def test_oracle_nonlinear_model(alpha, tol):
 def test_oracle_input_validation(dw2, dw1):
     fam2 = TruncationFamily(dw2, 4.0)
     with pytest.raises(ValueError):
-        quadrature_oracle(fam2, 2, [COS], [(0,)])
+        quadrature_oracle(fam2, 2, [COS], [(0,)], horizon=0.5)
     fam1 = TruncationFamily(dw1, 4.0)
     with pytest.raises(ValueError):
-        quadrature_oracle(fam1, 4, [COS], [(0,)])
+        quadrature_oracle(fam1, 4, [COS], [(0,)], horizon=1.0)
     with pytest.raises(ValueError):
-        quadrature_oracle(fam1, 2, [COS], [(0,)], nodes=10)
+        quadrature_oracle(fam1, 2, [COS], [(0,)], horizon=1.0, nodes=10)
 
 
 # ---------------------------------------------------------------------------
