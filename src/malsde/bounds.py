@@ -85,30 +85,100 @@ def generator_violations(fam, p, alpha, gamma, radius=None, seed=1) -> int:
     return int(np.count_nonzero(lf > alpha * f + gamma + 1e-9))
 
 
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+def _sorted_simplices(sim, fsim):
+    """Each start's vertices in ascending order of value (`np.argsort` per row)."""
+    ind = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
+
+def _nelder_mead(func, starts, xatol, fatol, maxiter):
+    """The minimum found from each row of starts (B, n) by scipy's Nelder-Mead
+    (`minimize` with method "Nelder-Mead", adaptive=False and the given
+    xatol, fatol and maxiter), bitwise, with all starts run in lockstep.
+
+    func maps (k, n) points to k values.  Each iteration calls it at most
+    three times, on the starts still running: their reflections, the one
+    expansion or contraction point each start's branch needs, then the
+    vertices of the starts that shrink.  As in scipy, the first simplex
+    scales each coordinate by 1.05 in turn (a zero one becomes 0.00025), a
+    start stops when its simplex is within xatol and its values within fatol
+    of the best vertex, iterations count from 1 to maxiter, and the value
+    found is the simplex's minimum.
+    """
+    b, n = starts.shape
+    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    diag = starts[:, k]
+    sim[:, k + 1, k] = np.where(diag != 0, (1 + 0.05) * diag, 0.00025)
+    sim, fsim = _sorted_simplices(sim, func(sim.reshape(-1, n)).reshape(b, n + 1))
+    sim, fsim = _sorted_simplices(sim, fsim)  # scipy sorts the first simplex twice
+    run = np.arange(b)
+    for _ in range(maxiter - 1):
+        s, fs = sim[run], fsim[run]
+        done = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
+                & (np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= fatol))
+        run, s, fs = run[~done], s[~done], fs[~done]
+        if not len(run):
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = func(xr)
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        inside = ~(expand | accept | outside)
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))
+        fx2 = np.full_like(fxr, np.nan)
+        if np.any(~accept):
+            fx2[~accept] = func(x2[~accept])
+        take2 = ((expand & (fx2 < fxr)) | (outside & (fx2 <= fxr))
+                 | (inside & (fx2 < fs[:, -1])))
+        shrink = (outside | inside) & ~take2
+        step = ~shrink  # a shrinking start keeps its worst vertex until it shrinks
+        s[step, -1] = np.where(take2[:, None], x2, xr)[step]
+        fs[step, -1] = np.where(take2, fx2, fxr)[step]
+        if np.any(shrink):
+            v = s[shrink, :1] + _SIGMA * (s[shrink, 1:] - s[shrink, :1])
+            s[shrink, 1:] = v
+            fs[shrink, 1:] = func(v.reshape(-1, n)).reshape(-1, n)
+        sim[run], fsim[run] = _sorted_simplices(s, fs)
+    return np.min(fsim, axis=1)
+
+
+def _clipped_surplus(fam, p, alpha, x0, radius, x):
+    """L_n f - alpha f at the points x (k, d), each first pulled onto the ball
+    if it leaves it, bitwise its one-point value: |x - x0| is the BLAS dot
+    `np.linalg.norm` takes of one vector, and f the scalar power, which
+    rounds apart from numpy's array power."""
+    y = x - x0
+    r = np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0, 0])
+    clip = r > radius
+    x = x.copy()
+    x[clip] = x0 + y[clip] * (radius / r[clip])[:, None]
+    fx = np.array([v ** (p / 2) for v in np.sum((x - x0) ** 2, axis=-1)])
+    return generator_apply(fam, p, x) - alpha * fx
+
+
 def _polished_gamma(fam, p, alpha, xs, surplus, x0, radius):
     """max over the ball of L_n f - alpha f, refined beyond the sample max.
 
-    Local maximization from the best sample points (clipped to the ball)
+    A Nelder-Mead search (`_nelder_mead`, a numpy port of scipy's) from each
+    of the 8 sample points of largest surplus maximizes `_clipped_surplus`;
+    all 8 run in lockstep, each objective call on one batch of points.  This
     closes the gap between the sample max and the true max, so fresh holdout
     samples cannot violate the fitted inequality.
     """
-    from scipy.optimize import minimize  # only the fit needs it; keeps CLI start-up light
-
-    def neg(x):
-        y = x - x0
-        r = np.linalg.norm(y)
-        if r > radius:
-            x = x0 + y * (radius / r)
-        fx = float(np.sum((x - x0) ** 2) ** (p / 2))
-        return -(float(generator_apply(fam, p, x)) - alpha * fx)
-
     order = np.argsort(surplus)[::-1]
-    best = float(np.max(surplus))
-    for i in order[:8]:
-        res = minimize(neg, xs[i], method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 2000})
-        best = max(best, -float(res.fun))
+    found = _nelder_mead(lambda x: -_clipped_surplus(fam, p, alpha, x0, radius, x),
+                         xs[order[:8]], xatol=1e-10, fatol=1e-12, maxiter=2000)
+    best = max(float(np.max(surplus)), *(-found).tolist())
     return best + 1e-10 * max(1.0, abs(best))
 
 

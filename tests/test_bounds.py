@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import malsde.bounds
 import malsde.simulate
@@ -31,6 +33,7 @@ from malsde.models import (
     DoubleWell2DModel,
     OrnsteinUhlenbeckModel,
     TruncationFamily,
+    generator_apply,
 )
 from malsde.simulate import (
     TimeGrid,
@@ -39,6 +42,8 @@ from malsde.simulate import (
     euler_states,
     sample_noise_block,
 )
+
+from helpers import one_point_surplus, scipy_polished_gamma
 
 
 def _centered_ou(kappa=1.0):
@@ -114,6 +119,140 @@ def test_fit_radius_must_cover_level(dw1):
     fam = TruncationFamily(dw1, 8.0)
     with pytest.raises(ValueError):
         fit_generator_constants(fam, p=2, radius=4.0)
+
+
+# the port's objectives: a 1-d wave and a 2-d staircase whose plateaus force
+# shrinks; the first start of each has a zero coordinate
+_NM_CASES = {
+    "wave-1d": (lambda x: np.sin(3 * x[..., 0]) + 0.1 * x[..., 0] ** 2,
+                [[0.0], [1.7], [-2.5], [0.4]]),
+    "stairs-2d": (lambda x: (np.floor(4 * x[..., 0]) ** 2 + np.floor(4 * x[..., 1]) ** 2
+                             + 0.01 * x[..., 0] ** 2),
+                  [[0.0, 1.3], [-1.2, 1.0], [2.0, 0.0], [0.5, -0.7]]),
+}
+
+
+def _scipy_nelder_mead(func, start, **options):
+    """scipy's Nelder-Mead result from one start and the values of its
+    objective calls, in call order."""
+    values = []
+
+    def logged(x):
+        values.append(float(func(x)))
+        return values[-1]
+
+    res = scipy.optimize.minimize(logged, start, method="Nelder-Mead", options=options)
+    return res, values
+
+
+def _branches(values, n):
+    """The count of each Nelder-Mead branch a run took, replayed from the
+    values of its objective calls (`_scipy_nelder_mead`) alone."""
+    fs, calls, seen = sorted(values[:n + 1]), iter(values[n + 1:]), Counter()
+    for fr in calls:
+        if fr < fs[0]:
+            fe = next(calls)
+            fs[-1], branch = (fe if fe < fr else fr), "expand"
+        elif fr < fs[-2]:
+            fs[-1], branch = fr, "reflect"
+        else:
+            outside, fc = fr < fs[-1], next(calls)
+            if (fc <= fr) if outside else (fc < fs[-1]):
+                fs[-1], branch = fc, "outside" if outside else "inside"
+            else:
+                fs[1:], branch = [next(calls) for _ in range(n)], "shrink"
+        seen[branch] += 1
+        fs.sort()
+    return seen
+
+
+@pytest.mark.parametrize("case", list(_NM_CASES))
+def test_nelder_mead_port_is_bitwise_scipy_per_start(case):
+    func, starts = _NM_CASES[case]
+    starts = np.array(starts)
+    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
+    found = malsde.bounds._nelder_mead(func, starts, **options)
+    seen, nits = Counter(), []
+    for start, fun in zip(starts, found):
+        res, values = _scipy_nelder_mead(func, start, **options)
+        assert fun == res.fun  # [DERIVED] the same operations in the same order
+        assert res.status == 0
+        branches = _branches(values, starts.shape[1])
+        assert sum(branches.values()) == res.nit - 1  # the replay read every call
+        seen += branches
+        nits.append(res.nit)
+    # every branch ran (a 1-d simplex has no accepted reflection: its best is
+    # its second worst), and the lockstep starts stopped at different iterations
+    assert set(seen) == {"expand", "outside", "inside", "shrink"} | (
+        {"reflect"} if starts.shape[1] == 2 else set())
+    assert len(set(nits)) == len(nits)
+
+
+def test_nelder_mead_port_stops_at_maxiter():
+    func, starts = _NM_CASES["stairs-2d"]
+    starts = np.array(starts)
+    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 100}
+    found = malsde.bounds._nelder_mead(func, starts, **options)
+    status = []
+    for start, fun in zip(starts, found):
+        res, _ = _scipy_nelder_mead(func, start, **options)
+        assert fun == res.fun
+        status.append(res.status)
+    assert sorted(status) == [0, 0, 0, 2]  # one start runs out of iterations
+
+
+_POLISH_CASES = {
+    "dw1-level1": (DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 1.0),
+    "dw1-level4": (DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 4.0),
+    "ou": (_centered_ou(), 8.0),
+    "bm": (BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0), 8.0),
+    "bm-2d": (BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=1.0), 8.0),
+    "ou-2d": (OrnsteinUhlenbeckModel(dim=2, x0=[0.5, -0.3], horizon=1.0, kappa=1.0,
+                                     mu=[0.0, 0.0], sigma0=1.0), 8.0),
+    "dw2": (DoubleWell2DModel(x0=[0.1, -0.2], horizon=0.5), 4.0),
+}
+
+
+@pytest.mark.parametrize("case", ["dw1-level1", "bm-2d", "dw2"])
+def test_clipped_surplus_is_bitwise_one_point_values(case):
+    fam = TruncationFamily(*_POLISH_CASES[case])
+    radius = malsde.bounds._default_radius(fam)
+    x0 = np.asarray(fam.x0, dtype=float)
+    # a ball 1.25 times the fit's: 20 % (d = 1) or 36 % (d = 2) of the points
+    # are pulled onto the fit's ball, the rest keep their own f, whose scalar
+    # power rounds apart from the array power on some of them
+    xs = malsde.bounds._ball_sample(np.random.default_rng(5), x0, 1.25 * radius, 4000,
+                                    fam.dim)
+    for p in (2, 4):
+        values, out = zip(*(one_point_surplus(fam, p, 1.0, x0, radius, x) for x in xs))
+        assert sum(out) > len(xs) / 10
+        got = malsde.bounds._clipped_surplus(fam, p, 1.0, x0, radius, xs)
+        assert np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("case", list(_POLISH_CASES))
+def test_polished_gamma_is_bitwise_the_scipy_polish(case, p, monkeypatch):
+    fam = TruncationFamily(*_POLISH_CASES[case])
+    radius = malsde.bounds._default_radius(fam)
+    x0 = np.asarray(fam.x0, dtype=float)
+    xs = malsde.bounds._ball_sample(np.random.default_rng(0), x0, radius,
+                                    malsde.bounds.FIT_SAMPLES, fam.dim)
+    f = np.sum((xs - x0) ** 2, axis=-1) ** (p / 2)
+    lf = generator_apply(fam, p, xs)
+    clipped = 0
+    for alpha in (0.01, 0.1, 1.0, 64.0):
+        args = (fam, p, alpha, xs, lf - alpha * f, x0, radius)
+        gamma, n = scipy_polished_gamma(*args)
+        assert malsde.bounds._polished_gamma(*args) == gamma
+        clipped += n
+    if case == "bm-2d" and p == 4:
+        # L f - 0.01 f = 8 r^2 - 0.01 r^4 still rises at the ball's edge r = 10
+        assert clipped > 0
+    fit = fit_generator_constants(fam, p)
+    monkeypatch.setattr(malsde.bounds, "_polished_gamma",
+                        lambda *args: scipy_polished_gamma(*args)[0])
+    assert fit == fit_generator_constants(fam, p)
 
 
 # ---------------------------------------------------------------------------

@@ -173,14 +173,29 @@ def test_density_linear_model_needs_no_kde(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the generator fit runs scipy.optimize and only the manifest reads
-    # scipy's version; start-up should not pay for them, nor for
-    # scipy.special or jsonschema, which the CLI does not use
+    # only the manifest reads scipy, for its version; start-up should not pay
+    # for it, nor for scipy.optimize, scipy.special or jsonschema, which the
+    # CLI does not use
     src = str(Path(malsde.__file__).parents[1])
     code = ("import sys, malsde.cli; sys.exit(sum(m in sys.modules for m in "
             "('scipy', 'scipy.optimize', 'scipy.special', 'jsonschema')))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_generator_fit_runs_without_scipy_optimize(tmp_path):
+    # both runs fit the generator constants: the bounds rows and the density
+    # envelope; the fit's Nelder-Mead polish is a numpy port
+    src = str(Path(malsde.__file__).parents[1])
+    code = ("import sys, malsde.cli; "
+            f"a = malsde.cli.main(['bounds', '--set', 'paths=1000', '--out', {str(tmp_path / 'b')!r}]); "
+            "b = malsde.cli.main(['density', '--set', 'density.envelope=true', '--set', "
+            f"'paths=2000', '--out', {str(tmp_path / 'd')!r}]); "
+            "sys.exit(a or b or 10 * ('scipy.optimize' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert (tmp_path / "b" / "bounds.csv").exists()
+    assert (tmp_path / "d" / "density.csv").exists()
 
 
 def test_serial_density_leaves_out_the_process_pool(tmp_path):
