@@ -540,8 +540,10 @@ def bound_checks(fam, levels, grid: TimeGrid, n_paths: int, seed, zetas, y_offse
     constants (`fit_generator_constants`, p = 2) against rhs 0, so any
     violation fails it.  Then the `covQ_moment_check` rows on those
     constants at grid.steps, and the `invcov_slope_checks` rows at
-    invcov_steps.
+    invcov_steps.  An SE needs n_paths >= 2.
     """
+    if n_paths < 2:
+        raise ValueError(f"bounds needs at least 2 paths, got {n_paths}")
     fit = fit_generator_constants(fam, 2)
     param = f"alpha={fit.alpha_p:g};raw={fit.alpha_raw:g};gamma={fit.gamma_p:g}"
     reports = [BoundReport("generator_fit", param, float(fit.holdout_violations), 0.0, 0.0)]

@@ -82,15 +82,13 @@ def _orthant_estimates(xn, h, valid, ys, alpha):
 
 
 def count_drops(valid, n_paths):
-    """Number of dropped paths; raises when (nearly) all of them are."""
+    """Number of dropped paths; raises when any is and fewer than 2 remain."""
     dropped = int(np.count_nonzero(~valid))
-    if dropped >= n_paths - 1:
-        raise DegenerateCovarianceError(
-            "all paths dropped for degenerate covariance")
+    message = f"{dropped} of {n_paths} paths dropped for degenerate covariance"
+    if dropped and n_paths - dropped < 2:
+        raise DegenerateCovarianceError(message)
     if dropped > DROP_WARN_FRACTION * n_paths:
-        warnings.warn(
-            f"{dropped} of {n_paths} paths dropped for degenerate covariance",
-            RuntimeWarning, stacklevel=3)
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
     return dropped
 
 
@@ -263,12 +261,14 @@ def density_checks(fam, grid: TimeGrid, n_paths: int, seed: int, alphas, ys,
                    env_fit=None, workers: int = 1) -> list:
     """The `density.csv` rows after (model, n, N, M, seed): per alpha of
     `alphas` (1-based) and y of `ys`, (y, alpha, estimate, se, kde, oracle,
-    envelope, pass) at the point (y, ..., y), all from one weight pass.
-    A row passes iff its estimate is within 3 se + 1e-12 of the Euler
-    chain's exact law (Brownian and OU) or, for other models at alpha = (),
-    within 3 (se + risk) of the KDE of the first 50000 paths; and, given the
-    generator fit `env_fit`, at most 3 se above a finite decay envelope.  An
-    envelope too few estimates can fit fails every row of its alpha."""
+    envelope, pass) at the point (y, ..., y), all from one weight pass over
+    n_paths >= 2 paths.  A row passes iff its estimate is within 3 se + 1e-12
+    of the Euler chain's exact law (Brownian and OU) or, for other models at
+    alpha = (), within 3 (se + risk) of the KDE of the first 50000 paths; and,
+    given the generator fit `env_fit`, at most 3 se above a finite decay
+    envelope.  An envelope too few estimates can fit fails every row of its alpha."""
+    if n_paths < 2:
+        raise ValueError(f"density needs at least 2 paths, got {n_paths}")
     linear = isinstance(fam.base, OrnsteinUhlenbeckModel)
     ys = np.asarray(ys, dtype=float)
     ygrid = np.repeat(ys[:, None], fam.dim, axis=1)

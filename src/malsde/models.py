@@ -47,24 +47,21 @@ class EllipticityConstants:
 
 
 class SdeModel:
-    """Base class for dX = b(X) dt + sigma(X) dW on R^d.
+    """Base class for dX = b(X) dt + sigma(X) dW on R^d; T is the time grid's.
 
     Subclasses supply b and sigma together with their derivatives up to
     second order; everything downstream (Euler chains, derivative chains,
     integration-by-parts weights) consumes exactly this interface.
     """
 
-    def __init__(self, dim, x0, horizon, constants: EllipticityConstants):
+    def __init__(self, dim, x0, constants: EllipticityConstants):
         self.dim = int(dim)
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        self.horizon = float(horizon)
         self.constants = constants
         if self.dim < 1:
             raise ModelDefinitionError("dim must be >= 1")
         if self.x0.shape != (self.dim,):
             raise ModelDefinitionError(f"x0 must have shape ({self.dim},)")
-        if not self.horizon > 0:
-            raise ModelDefinitionError("horizon must be positive")
 
     # drift and its derivatives; x has shape (..., d)
     def drift(self, x):  # (..., d)
@@ -99,7 +96,7 @@ def _const_matrix(x, mat):
 class OrnsteinUhlenbeckModel(SdeModel):
     """b(x) = -kappa (x - mu), sigma = sigma0 * I: linear, closed-form law."""
 
-    def __init__(self, dim=1, x0=0.0, horizon=1.0, kappa=1.0, mu=0.0, sigma0=1.0):
+    def __init__(self, dim=1, x0=0.0, kappa=1.0, mu=0.0, sigma0=1.0):
         self.kappa = float(kappa)
         self.mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, float)), (dim,)).copy()
         self.sigma0 = float(sigma0)
@@ -113,7 +110,7 @@ class OrnsteinUhlenbeckModel(SdeModel):
         lam = self.sigma0 ** 2 if self.sigma0 > 0 else 1.0
         c = EllipticityConstants(lam, lam, lam, 0.0, -self.kappa)
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, float)), (dim,)).copy()
-        super().__init__(dim, x0, horizon, c)
+        super().__init__(dim, x0, c)
 
     def drift(self, x):
         return -self.kappa * (np.asarray(x) - self.mu)
@@ -133,20 +130,20 @@ class BrownianModel(OrnsteinUhlenbeckModel):
     """b = 0, sigma = sigma0 * I: OU with kappa = 0 and mu = 0, the
     closed-form Gaussian control case."""
 
-    def __init__(self, dim=1, x0=0.0, horizon=1.0, sigma0=1.0):
-        super().__init__(dim, x0, horizon, kappa=0.0, mu=0.0, sigma0=sigma0)
+    def __init__(self, dim=1, x0=0.0, sigma0=1.0):
+        super().__init__(dim, x0, kappa=0.0, mu=0.0, sigma0=sigma0)
 
 
 class DoubleWell1DModel(SdeModel):
     """b(x) = x - x^3 on R: locally Lipschitz, semi-monotone with K = 1."""
 
-    def __init__(self, x0=0.0, horizon=1.0, sigma0=1.0):
+    def __init__(self, x0=0.0, sigma0=1.0):
         self.sigma0 = float(sigma0)
         if self.sigma0 <= 0:
             raise ModelDefinitionError("sigma0 must be positive")
         lam = self.sigma0 ** 2
         c = EllipticityConstants(lam, lam, lam, 0.0, 1.0)
-        super().__init__(1, [float(np.atleast_1d(x0)[0])], horizon, c)
+        super().__init__(1, [float(np.atleast_1d(x0)[0])], c)
 
     def drift(self, x):
         x = np.asarray(x)
@@ -168,9 +165,9 @@ class DoubleWell2DModel(SdeModel):
     """Componentwise double-well drift on R^2 with a smooth, uniformly
     elliptic, state-dependent diagonal diffusion sigma = I + 0.1 diag(sin x1, cos x2)."""
 
-    def __init__(self, x0=(0.0, 0.0), horizon=1.0):
+    def __init__(self, x0=(0.0, 0.0)):
         c = EllipticityConstants(0.81, 1.21, 1.21, 0.1, 1.0)
-        super().__init__(2, x0, horizon, c)
+        super().__init__(2, x0, c)
 
     def drift(self, x):
         x = np.asarray(x)
@@ -300,7 +297,7 @@ class TruncationFamily:
     b bitwise on the ball |x| <= n and is bounded by sup_{|y| <= n+1} |b(y)|.
     Its derivatives are b's own on the ball; only the rows outside it (one
     real-part mask, `_outside`, shared with `clamp_point`) go through the
-    chain rule with the clamp derivatives.
+    chain rule with the clamp derivatives.  Like its base model, it holds no T.
     """
 
     def __init__(self, base: SdeModel, level: float):
@@ -310,7 +307,6 @@ class TruncationFamily:
         self.level = float(level)
         self.dim = base.dim
         self.x0 = base.x0
-        self.horizon = base.horizon
         self.constants = base.constants
 
     def drift(self, x):

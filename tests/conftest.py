@@ -10,23 +10,23 @@ from malsde.models import (
 
 @pytest.fixture
 def bm():
-    return BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    return BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
 
 
 @pytest.fixture
 def ou():
-    return OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0,
+    return OrnsteinUhlenbeckModel(dim=1, x0=[0.5],
                                   kappa=1.0, mu=[0.0], sigma0=1.0)
 
 
 @pytest.fixture
 def dw1():
-    return DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+    return DoubleWell1DModel(x0=[0.3], sigma0=0.8)
 
 
 @pytest.fixture
 def dw2():
-    return DoubleWell2DModel(x0=[0.1, -0.2], horizon=0.5)
+    return DoubleWell2DModel(x0=[0.1, -0.2])
 
 
 @pytest.fixture

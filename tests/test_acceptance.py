@@ -40,21 +40,21 @@ from helpers import density_mc
 
 def _zoo():
     return {
-        "bm": BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0),
-        "ou": OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0,
+        "bm": BrownianModel(dim=1, x0=[0.0], sigma0=1.0),
+        "ou": OrnsteinUhlenbeckModel(dim=1, x0=[0.5],
                                      kappa=1.0, mu=[0.0], sigma0=1.0),
-        "double-well-1d": DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8),
-        "double-well-2d": DoubleWell2DModel(x0=[0.1, -0.2], horizon=0.5),
+        "double-well-1d": DoubleWell1DModel(x0=[0.3], sigma0=0.8),
+        "double-well-2d": DoubleWell2DModel(x0=[0.1, -0.2]),
     }
 
 
 def _centered_ou():
-    return OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    return OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                   mu=[0.0], sigma0=1.0)
 
 
 def _centered_dw():
-    return DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    return DoubleWell1DModel(x0=[0.0], sigma0=0.8)
 
 
 class _Timer:
@@ -78,7 +78,7 @@ def test_acceptance_1_gradient_oracle():
         rng = np.random.default_rng(0)
         for name, model in _zoo().items():
             fam = TruncationFamily(model, 8.0 if model.dim == 1 else 4.0)
-            grid = TimeGrid(model.horizon, 64)
+            grid = TimeGrid(0.5 if name == "double-well-2d" else 1.0, 64)
             n_pairs = 25
             dW = sample_noise_block(grid, 1, 0, n_pairs, model.dim)
             ch = chain_batch(fam, grid.dt, dW)
@@ -101,7 +101,7 @@ def test_acceptance_2_quadrature_ibp_oracle():
     # E[d_alpha g(X)] = E[g(X) H_alpha] by 2-step Gauss-Hermite quadrature
     with _Timer(30):
         ou = TruncationFamily(_centered_ou(), 8.0)
-        dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=0.5,
+        dw = TruncationFamily(DoubleWell1DModel(x0=[0.3],
                                                 sigma0=0.8), 4.0)
         cases = (((0,), 1e-8), ((0, 0), 1e-6))
         funcs = list(_ORACLE_FUNCS.values())
@@ -116,7 +116,7 @@ def test_acceptance_2_quadrature_ibp_oracle():
 def test_acceptance_3_brownian_closed_form_weight_and_density():
     with _Timer(60):
         sigma = 1.0
-        m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=sigma)
+        m = BrownianModel(dim=1, x0=[0.0], sigma0=sigma)
         fam = TruncationFamily(m, 50.0)
         grid = TimeGrid(1.0, 256)
         dW = sample_noise_block(grid, 2, 0, 4096, 1)
@@ -133,7 +133,7 @@ def test_acceptance_3_brownian_closed_form_weight_and_density():
 
 def test_acceptance_4_ou_density_with_weak_error_budget():
     with _Timer(120):
-        m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+        m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                    mu=[0.0], sigma0=1.0)
         fam = TruncationFamily(m, 8.0)
         ys = np.linspace(-2.0, 2.0, 11)[:, None]
@@ -202,7 +202,7 @@ def test_acceptance_7_terminal_tail_bound():
 def test_acceptance_8_inverse_covariance_scaling():
     with _Timer(120):
         times = np.geomspace(0.1, 1.0, 5)
-        bm = TruncationFamily(BrownianModel(dim=1, x0=[0.0], horizon=1.0,
+        bm = TruncationFamily(BrownianModel(dim=1, x0=[0.0],
                                             sigma0=1.0), 8.0)
         sc = invcov_moment_scaling(bm, times, (1, 2, 4), 500, steps=16)
         for p, slope in zip((1, 2, 4), sc.slopes):
@@ -214,12 +214,12 @@ def test_acceptance_8_inverse_covariance_scaling():
                 mat = np.diag([1.0, 2.0]).astype(np.asarray(x).dtype)
                 return np.broadcast_to(mat, np.shape(x)[:-1] + (2, 2))
 
-        fam2 = TruncationFamily(_Diag(dim=2, x0=[0.0, 0.0], horizon=1.0,
+        fam2 = TruncationFamily(_Diag(dim=2, x0=[0.0, 0.0],
                                       sigma0=1.0), 8.0)
         sc2 = invcov_moment_scaling(fam2, times, (2,), 500, steps=16)
         assert abs(sc2.slopes[0] - invcov_reference_slopes(2, 2)["constant_sigma"]) <= 0.01
 
-        dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=1.0,
+        dw = TruncationFamily(DoubleWell1DModel(x0=[0.3],
                                                 sigma0=0.8), 4.0)
         sc3 = invcov_moment_scaling(dw, times, (1, 2), 5000, steps=16, seed=10)
         for p, slope in zip((1, 2), sc3.slopes):
@@ -243,7 +243,7 @@ def test_acceptance_9_decay_envelope():
                                    lambda0=fam.constants.lambda_min)
         assert check.holdout_pass  # 100% holdout coverage at 21 points
 
-        bm = TruncationFamily(BrownianModel(dim=1, x0=[0.0], horizon=1.0,
+        bm = TruncationFamily(BrownianModel(dim=1, x0=[0.0],
                                             sigma0=1.0), 50.0)
         est, se, _ = density_mc(bm, TimeGrid(1.0, 64), 100000, 12, ys)
         check = fit_decay_envelope(ys, est, se, t=1.0, x0=np.zeros(1),

@@ -47,7 +47,7 @@ from helpers import one_point_surplus, scipy_polished_gamma
 
 
 def _centered_ou(kappa=1.0):
-    return OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=kappa,
+    return OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=kappa,
                                   mu=[0.0], sigma0=1.0)
 
 
@@ -86,7 +86,7 @@ def _cov_reports(base, levels, grid, n_paths, p_list=(2, 4), **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_fit_drift_free_constants():
-    fam = TruncationFamily(BrownianModel(dim=1, x0=[0.0], horizon=1.0,
+    fam = TruncationFamily(BrownianModel(dim=1, x0=[0.0],
                                          sigma0=1.0), 8.0)
     fit = fit_generator_constants(fam, p=2)
     # [DERIVED] L|x|^2 = 1 identically: zero raw slope, unit offset
@@ -202,14 +202,14 @@ def test_nelder_mead_port_stops_at_maxiter():
 
 
 _POLISH_CASES = {
-    "dw1-level1": (DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 1.0),
-    "dw1-level4": (DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 4.0),
+    "dw1-level1": (DoubleWell1DModel(x0=[0.3], sigma0=0.8), 1.0),
+    "dw1-level4": (DoubleWell1DModel(x0=[0.3], sigma0=0.8), 4.0),
     "ou": (_centered_ou(), 8.0),
-    "bm": (BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0), 8.0),
-    "bm-2d": (BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=1.0), 8.0),
-    "ou-2d": (OrnsteinUhlenbeckModel(dim=2, x0=[0.5, -0.3], horizon=1.0, kappa=1.0,
+    "bm": (BrownianModel(dim=1, x0=[0.0], sigma0=1.0), 8.0),
+    "bm-2d": (BrownianModel(dim=2, x0=[0.0, 0.0], sigma0=1.0), 8.0),
+    "ou-2d": (OrnsteinUhlenbeckModel(dim=2, x0=[0.5, -0.3], kappa=1.0,
                                      mu=[0.0, 0.0], sigma0=1.0), 8.0),
-    "dw2": (DoubleWell2DModel(x0=[0.1, -0.2], horizon=0.5), 4.0),
+    "dw2": (DoubleWell2DModel(x0=[0.1, -0.2]), 4.0),
 }
 
 
@@ -299,7 +299,7 @@ def test_exp_moment_one_pass_serves_every_zeta(dw1, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_tail_bound_brownian_reference_value():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     fit = fit_generator_constants(fam, p=2)
     grid = TimeGrid(1.0, 16)
@@ -326,7 +326,7 @@ def test_tail_bound_holds_at_all_offsets(model_name, dw1):
 # ---------------------------------------------------------------------------
 
 def test_dnorm_drift_free_exact():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     grid = TimeGrid(1.0, 16)
     rep, _ = _cov_reports(m, (2.0, 4.0, 8.0), grid, 2000, (2,))
     # [TRIVIAL] sum dt |G_k|^2 = T on every path and level
@@ -339,7 +339,7 @@ def test_dnorm_drift_free_exact():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dnorm_zero_diffusion_is_degenerate():
     # sigma = 0 makes every derivative norm 0: no spread to report
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                mu=[0.0], sigma0=0.0)
     with pytest.raises(DegenerateCovarianceError):
         _cov_reports(m, (2.0, 4.0), TimeGrid(1.0, 8), 500, (2, 4))
@@ -369,7 +369,7 @@ def test_dnorm_uniform_in_level_double_well(p, dw1):
 
 
 def test_covq_drift_free_time_table():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     grid = TimeGrid(1.0, 16)
     rep = _cov_reports(m, (2.0, 4.0), grid, 1000)[-1]
     assert rep.lhs == 0.0 and rep.passed
@@ -423,13 +423,13 @@ def _every_level_cov_sums(base, levels, grid, seed, p_list, ks, lo, hi):
 @pytest.mark.parametrize("case", ["dw1", "dw1-calm", "dw2"])
 def test_cov_sweep_matches_every_level_run(case, monkeypatch):
     if case == "dw1":  # every path, about half and few leave
-        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        base = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
         levels, grid = (0.25, 1.0, 2.0, 4.0), TimeGrid(1.0, 16)
     elif case == "dw1-calm":  # every path, about half and no path leave
-        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        base = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
         levels, grid = (0.2, 1.0, 6.0, 8.0), TimeGrid(1.0, 16)
     else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
-        base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
+        base = DoubleWell2DModel(x0=[0.5, 0.0])
         levels, grid = (0.5, 1.0, 2.0, 4.0), TimeGrid(0.5, 16)
     n_paths, chunk, seed = 6000, 2560, 11  # chunks of 2560, 2560 and 880 paths
     p_list, ks = (2, 4), (4, 8, 16)
@@ -510,7 +510,7 @@ def test_one_sweep_serves_every_row(level, dw1):
 # ---------------------------------------------------------------------------
 
 def test_invcov_drift_free_exact_slopes():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     times = np.geomspace(0.1, 1.0, 5)
     sc = invcov_moment_scaling(fam, times, (1, 2, 4), 200, steps=16)
@@ -520,7 +520,7 @@ def test_invcov_drift_free_exact_slopes():
 
 
 def test_invcov_diag_diffusion_2d_slope():
-    m = _DiagDiffusionModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=1.0)
+    m = _DiagDiffusionModel(dim=2, x0=[0.0, 0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     times = np.geomspace(0.1, 1.0, 5)
     sc = invcov_moment_scaling(fam, times, (2,), 200, steps=16)
@@ -532,10 +532,10 @@ def test_invcov_diag_diffusion_2d_slope():
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_invcov_exact_slope_of_linear_models(kappa):
     times, steps = np.geomspace(0.1, 1.0, 5), 16
-    bm = BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=1.5)
+    bm = BrownianModel(dim=2, x0=[0.0, 0.0], sigma0=1.5)
     # [DERIVED] det Q = (sigma0^2 t)^d for Brownian motion
     assert invcov_exact_slope(bm, times, 2, steps) == pytest.approx(-4.0, abs=1e-12)
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=kappa,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=kappa,
                                 mu=[0.0], sigma0=1.0)
     sc = invcov_moment_scaling(TruncationFamily(ou, 8.0), times, (2, 4), 300, steps=steps)
     for p, slope in zip((2, 4), sc.slopes):
@@ -551,7 +551,7 @@ def _plant_scaling(monkeypatch, scaling):
 def test_invcov_slope_passes_judges_untruncated_linear_fits_only(monkeypatch):
     times, steps = np.geomspace(0.1, 1.0, 5), 16
     # x0 far outside the level-1 ball: the family's paths all leave it
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[3.0], horizon=1.0, kappa=2.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[3.0], kappa=2.0,
                                 mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(ou, 1.0)
     fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
@@ -573,7 +573,7 @@ def test_invcov_slope_margin_is_the_tolerance_left(monkeypatch):
     # rhs is the exact slope the row is judged against, and margin >= 0
     # exactly when the row passes
     times, steps = np.geomspace(0.1, 1.0, 5), 16
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                 mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(ou, 8.0)
     fit = invcov_moment_scaling(ou, times, (2, 4), 300, steps=steps)
@@ -592,7 +592,7 @@ def test_invcov_slope_margin_is_the_tolerance_left(monkeypatch):
             invcov_slope_checks(fam, times, (2, 4), 300, steps), tol):
         assert margin == pytest.approx(-0.5 * t, rel=1e-6) and not passed
     # nonlinear rows keep the constant-sigma reference and pass
-    dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8), 4.0)
+    dw = TruncationFamily(DoubleWell1DModel(x0=[0.3], sigma0=0.8), 4.0)
     assert [r[5:] for r in invcov_slope_checks(dw, times, (2, 4), 300, steps)] == [
         (-2, -2 - off.slopes[0], True), (-4, -4 - off.slopes[1], True)]
 
@@ -635,7 +635,7 @@ def test_logdet_one_draw_matches_per_time_draws(case, dw1, dw2):
 
 
 def test_invcov_requires_decade():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     with pytest.raises(ValueError):
         invcov_moment_scaling(fam, np.geomspace(0.5, 1.0, 3), (1,), 100)
@@ -647,7 +647,7 @@ def test_invcov_requires_decade():
 
 def test_truncation_convergence_rows(dw1):
     grid = TimeGrid(1.0, 32)
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     rows = truncation_convergence(base, (2.0, 4.0, 8.0), grid, 20000, p=2)
     assert [r[:3] for r in rows] == [("truncation", "2->4", 32), ("truncation", "4->8", 32)]
     vals = [r[3] for r in rows]
@@ -677,13 +677,13 @@ def _every_level_sums(base, levels, grid, seed, p, lo, hi):
 @pytest.mark.parametrize("case", ["dw1", "dw1-calm", "dw2"])
 def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
     if case == "dw1":  # every path, about half, few and none leave
-        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        base = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
         levels, grid = (0.25, 1.0, 2.0, 8.0), TimeGrid(1.0, 32)
     elif case == "dw1-calm":  # every path, about half and no path leave
-        base = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+        base = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
         levels, grid = (0.2, 1.0, 6.0, 8.0), TimeGrid(1.0, 32)
     else:  # x0 sits on the sphere of radius 0.5: X_0 is not outside it
-        base = DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)
+        base = DoubleWell2DModel(x0=[0.5, 0.0])
         levels, grid = (0.5, 1.5, 4.0), TimeGrid(0.5, 32)
     n_paths, chunk, seed = 20000, 8192, 11  # chunks of 8192, 8192 and 3616 paths
     N = grid.steps

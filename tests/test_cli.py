@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import malsde
 import malsde.bounds
 import malsde.cli
+import malsde.density
 import malsde.rng
 from malsde.cli import ConfigError, load_config, main
 from malsde.parallel import map_chunks
@@ -53,7 +55,7 @@ def test_simulate_writes_outputs_and_manifest(tmp_path):
     assert manifest["subcommand"] == "simulate"
     assert manifest["config"]["paths"] == 2000
     assert manifest["outputs"] == ["moments.csv"]
-    assert {"package", "python", "numpy", "scipy"} <= manifest["versions"].keys()
+    assert {"package", "python", "numpy"} <= manifest["versions"].keys()
 
 
 def test_simulate_deterministic_constant_model(tmp_path):
@@ -244,7 +246,7 @@ def test_readme_example_config_runs(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps({
         "model": {"id": "double-well-1d",
-                  "params": {"x0": [0.0], "horizon": 1.0, "sigma0": 0.8}},
+                  "params": {"x0": [0.0], "sigma0": 0.8}},
         "truncation_level": 4.0,
         "grid": {"horizon": 1.0, "steps": 64},
         "paths": 50000,
@@ -255,8 +257,79 @@ def test_readme_example_config_runs(tmp_path):
     assert _run(["simulate", "--config", p, "--out", tmp_path,
                  "--set", "paths=2000", "--set", "grid.steps=16"]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["config"]["model"]["params"] == {
-        "x0": [0.0], "horizon": 1.0, "sigma0": 0.8}
+    assert manifest["config"]["model"]["params"] == {"x0": [0.0], "sigma0": 0.8}
+
+
+def test_model_horizon_other_than_the_grid_is_a_config_error(tmp_path, capsys):
+    model = {"id": "bm", "params": {"x0": [0.0], "horizon": 0.5}}
+    code = _run(["density", "--out", tmp_path, "--set", "model=" + json.dumps(model),
+                 "--set", "paths=1000", "--set", "grid.steps=8"])
+    assert code == 2
+    assert not (tmp_path / "density.csv").exists()
+    assert "grid.horizon 1.0, the run's horizon" in capsys.readouterr().err
+
+
+def test_model_horizon_equal_to_the_grid_is_dropped(tmp_path):
+    # the key is removed from the resolved config, so the run and its
+    # manifest are those of a config without it
+    outs = []
+    for name, params in (("with", {"x0": [0.0], "horizon": 0.5}), ("without", {"x0": [0.0]})):
+        model = {"id": "bm", "params": params}
+        out = tmp_path / name
+        assert _run(["density", "--out", out, "--set", "model=" + json.dumps(model),
+                     "--set", "grid.horizon=0.5", "--set", "paths=1000",
+                     "--set", "grid.steps=8"]) == 0
+        outs.append(out)
+    a, b = outs
+    assert (a / "density.csv").read_bytes() == (b / "density.csv").read_bytes()
+    configs = [json.loads((o / "manifest.json").read_text())["config"] for o in outs]
+    assert configs[0] == configs[1]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with scipy unimportable every
+    # subcommand exits 0 and writes its manifest
+    src = str(Path(malsde.__file__).parents[1])
+    subs = ["simulate", "density", "bounds", "oracle", "converge"]
+    code = ("import sys; sys.modules['scipy'] = None; import malsde.cli; "
+            f"codes = [malsde.cli.main([s, '--set', 'paths=500', '--set', 'grid.steps=8', "
+            f"'--out', {str(tmp_path)!r} + '/' + s]) for s in {subs!r}]; "
+            "print(codes); sys.exit(any(codes))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for s in subs:
+        manifest = json.loads((tmp_path / s / "manifest.json").read_text())
+        assert "scipy" not in manifest["versions"]
+
+
+@pytest.mark.parametrize("sub, csv_name", [("density", "density.csv"),
+                                           ("bounds", "bounds.csv")])
+def test_exit_code_fewer_than_two_paths(tmp_path, capsys, sub, csv_name):
+    # one path has no standard error: a config error, not a dropped path
+    # (density) or a nan SE that fails a row (bounds)
+    code = _run([sub, "--out", tmp_path, "--set", "paths=1", "--set", "grid.steps=8"])
+    assert code == 2
+    assert not (tmp_path / csv_name).exists()
+    assert "at least 2 paths, got 1" in capsys.readouterr().err
+
+
+def test_density_exits_3_when_one_valid_path_is_left(tmp_path, capsys, monkeypatch):
+    # a planted mask drops all paths but one: too few left for an SE
+    real = malsde.density.weight_samples
+
+    def planted(*args, **kwargs):
+        xn, h, valid = real(*args, **kwargs)
+        valid = np.zeros_like(valid)
+        valid[0] = True
+        return xn, h, valid
+
+    monkeypatch.setattr(malsde.density, "weight_samples", planted)
+    code = _run(["density", "--out", tmp_path, "--set", "paths=50", "--set", "grid.steps=8"])
+    assert code == 3
+    assert not (tmp_path / "density.csv").exists()
+    assert "49 of 50 paths dropped for degenerate covariance" in capsys.readouterr().err
 
 
 def test_exit_code_wrong_model_param(tmp_path):
@@ -345,7 +418,7 @@ def test_exit_code_out_of_range_config(tmp_path, sub, override, csv_name):
     assert not (tmp_path / csv_name).exists()
 
 
-_DW2 = 'model={"id":"double-well-2d","params":{"x0":[0.0,0.0],"horizon":0.5}}'
+_DW2 = 'model={"id":"double-well-2d","params":{"x0":[0.0,0.0]}}'
 
 
 def test_bounds_draws_noise_once_per_block(tmp_path, monkeypatch):

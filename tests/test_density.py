@@ -27,7 +27,7 @@ from helpers import density_mc
 
 
 def _bm_fam(sigma=1.0, x0=0.0):
-    m = BrownianModel(dim=1, x0=[x0], horizon=1.0, sigma0=sigma)
+    m = BrownianModel(dim=1, x0=[x0], sigma0=sigma)
     return TruncationFamily(m, 50.0)
 
 
@@ -58,7 +58,7 @@ def test_brownian_density_derivative_values():
 
 
 def test_ou_density_matches_discrete_law():
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     grid = TimeGrid(1.0, 64)
@@ -85,7 +85,7 @@ def test_density_order_cap_rejected(dw2):
 
 def test_double_well_density_symmetry():
     # symmetric potential and x0 = 0 give a symmetric terminal law
-    m = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
     grid = TimeGrid(1.0, 32)
     ys = np.array([[-1.0], [-0.5], [0.5], [1.0]])
@@ -95,7 +95,7 @@ def test_double_well_density_symmetry():
 
 
 def test_density_truncation_stability():
-    m = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     grid = TimeGrid(1.0, 32)
     ys = np.array([[0.0], [1.0]])
     vals = []
@@ -156,10 +156,10 @@ def test_kde_risk_covers_true_error():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_law_values():
-    m = BrownianModel(dim=1, x0=[0.5], horizon=1.0, sigma0=2.0)
+    m = BrownianModel(dim=1, x0=[0.5], sigma0=2.0)
     mean, var = gaussian_law(m, 0.25)
     assert mean[0] == 0.5 and var[0] == pytest.approx(1.0)  # sigma^2 t
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], horizon=1.0, kappa=2.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], kappa=2.0,
                                 mu=[0.5], sigma0=1.0)
     mean, var = gaussian_law(ou, 1.0)
     assert mean[0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), rel=1e-12)
@@ -167,7 +167,7 @@ def test_gaussian_law_values():
 
 
 def test_gaussian_law_discrete_steps():
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], horizon=1.0, kappa=1.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], kappa=1.0,
                                 mu=[0.0], sigma0=1.0)
     N = 16
     dt = 1.0 / N
@@ -182,8 +182,8 @@ def test_gaussian_law_discrete_steps():
 def test_gaussian_law_brownian_is_ou_kappa_zero(steps, dim):
     # sigma0 = 1.5, t = 0.7 and 48 steps is where s2 * dt * steps != s2 * t
     x0 = [0.4, -0.3][:dim]
-    bm = BrownianModel(dim=dim, x0=x0, horizon=1.0, sigma0=1.5)
-    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, horizon=1.0, kappa=0.0,
+    bm = BrownianModel(dim=dim, x0=x0, sigma0=1.5)
+    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, kappa=0.0,
                                 mu=0.0, sigma0=1.5)
     for model in (bm, TruncationFamily(bm, 2.0)):
         for got, want in zip(gaussian_law(model, 0.7, steps=steps),
@@ -195,7 +195,7 @@ def test_gaussian_law_brownian_is_ou_kappa_zero(steps, dim):
 
 
 def test_gaussian_oracle_values():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     ys = np.array([[0.0]])
     assert gaussian_oracle(m, 1.0, ys)[0] == pytest.approx(1 / np.sqrt(2 * np.pi))
     assert gaussian_oracle(m, 1.0, ys, alpha=(0,))[0] == pytest.approx(0.0, abs=1e-15)
@@ -227,7 +227,7 @@ def test_envelope_fit_on_exact_gaussian_profile():
 
 
 def test_envelope_slope_shallower_at_larger_time():
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     slopes = []
     for t in (0.25, 1.0):
@@ -242,7 +242,7 @@ def test_envelope_slope_shallower_at_larger_time():
 
 
 def test_envelope_monte_carlo_double_well():
-    m = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
     grid = TimeGrid(1.0, 32)
     ys = np.linspace(-2.5, 2.5, 21)[:, None]

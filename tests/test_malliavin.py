@@ -54,10 +54,10 @@ def second_derivative_chain(fam, dt, dW) -> np.ndarray:
     return SD
 
 
-def _path(model, level, steps, seed=0, path=0):
+def _path(model, level, steps, seed=0, path=0, horizon=1.0):
     """Family, grid and the (steps, dim) increments of one path."""
     fam = TruncationFamily(model, level)
-    grid = TimeGrid(model.horizon, steps)
+    grid = TimeGrid(horizon, steps)
     dW = sample_noise_block(grid, seed, path, path + 1, model.dim)[0]
     return fam, grid, dW
 
@@ -78,7 +78,7 @@ def test_constant_diffusion_zero_drift_gives_sigma(bm):
 
 
 def test_ou_closed_form_chain():
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 32)
     G = _flow(fam, grid, dW).G[0]
@@ -107,7 +107,7 @@ def test_flow_factorization_consistency(dw2):
     # G_k equals (flow from k+1 to N) sigma(X_k) to relative error 1e-10,
     # with the flow P_{k+1} = A_{N-1} ... A_{k+1} built here from the
     # model's step Jacobians A_m = I + grad b dt + grad sigma dW_m
-    fam, grid, dW = _path(dw2, 4.0, 32, seed=2)
+    fam, grid, dW = _path(dw2, 4.0, 32, seed=2, horizon=0.5)
     ch = _flow(fam, grid, dW)
     X = ch.X[0]
     P = np.eye(2)
@@ -124,7 +124,7 @@ def test_chain_is_batch_independent(dw2, step):
     # every path of a batch is the same as that path alone; with B = d = 2 a
     # batch index swapped with a coordinate index raises no shape error
     fam = TruncationFamily(dw2, 0.3)
-    grid = TimeGrid(dw2.horizon, 16)
+    grid = TimeGrid(0.5, 16)
     dW = sample_noise_block(grid, 4, 0, 2, dw2.dim)
     if step:
         dW = dW + 1j * step * dW[::-1, ::-1]
@@ -154,7 +154,7 @@ def test_cov_gram_structure_brownian(bm):
 
 
 def test_cov_ou_geometric_sum():
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 128)
     Q = _flow(fam, grid, dW).Q[0]
@@ -166,7 +166,7 @@ def test_cov_ou_geometric_sum():
 
 
 def test_cov_degenerate_raises():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=0.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=0.0)
     fam, grid, dW = _path(m, 8.0, 8)
     ch = _flow(fam, grid, dW)
     assert ch.degenerate[0]
@@ -178,7 +178,7 @@ def test_cov_degenerate_raises():
 def test_degeneracy_is_scale_free(sigma0, degenerate):
     # Q = sigma0^2 T I: perfectly conditioned at any sigma0 > 0, even where
     # det Q = 1e-56 is far below any absolute floor
-    m = BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0, sigma0=sigma0)
+    m = BrownianModel(dim=2, x0=[0.0, 0.0], sigma0=sigma0)
     fam = TruncationFamily(m, 8.0)
     grid = TimeGrid(1.0, 8)
     ch = chain_batch(fam, grid.dt, sample_noise_block(grid, 0, 0, 10, 2))
@@ -188,7 +188,7 @@ def test_degeneracy_is_scale_free(sigma0, degenerate):
 
 
 def test_cov_psd_double_well(dw2):
-    fam, grid, dW = _path(dw2, 4.0, 32, seed=7)
+    fam, grid, dW = _path(dw2, 4.0, 32, seed=7, horizon=0.5)
     Q = _flow(fam, grid, dW).Q[0]
     eigs = np.linalg.eigvalsh(Q)
     assert np.all(eigs >= 0)
@@ -200,7 +200,7 @@ def test_cov_psd_double_well(dw2):
 # ---------------------------------------------------------------------------
 
 def test_second_chain_linear_model_is_zero():
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.3], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.3], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 16)
     sd = second_derivative_chain(fam, grid.dt, dW)
@@ -230,7 +230,7 @@ def test_second_chain_symmetry_and_fd(dw1):
 
 
 def test_second_chain_fd_2d(dw2):
-    fam, grid, dW = _path(dw2, 4.0, 16, seed=4)
+    fam, grid, dW = _path(dw2, 4.0, 16, seed=4, horizon=0.5)
     sd = second_derivative_chain(fam, grid.dt, dW)
     h = 1e-4
     rng = np.random.default_rng(2)
@@ -277,15 +277,15 @@ def _check_reductions(fam, grid, dW):
 
 @pytest.mark.parametrize("which", ["dw1", "dw2"])
 def test_divergence_and_cov_derivative_reductions(which, dw1, dw2):
-    model = {"dw1": dw1, "dw2": dw2}[which]
-    _check_reductions(*_path(model, 4.0, 12, seed=6))
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
+    _check_reductions(*_path(model, 4.0, 12, seed=6, horizon=T))
 
 
 @pytest.mark.parametrize("which", ["dw1", "dw2"])
 def test_reductions_on_a_path_that_leaves_the_ball(which, dw1, dw2):
     # the clamp branch of E (K2 terms) feeds tA only outside the ball
-    model = {"dw1": dw1, "dw2": dw2}[which]
-    X = _check_reductions(*_path(model, 0.5, 12, seed=6))
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
+    X = _check_reductions(*_path(model, 0.5, 12, seed=6, horizon=T))
     assert np.any(np.linalg.norm(X, axis=-1) > 0.5)
 
 
@@ -293,9 +293,9 @@ def test_reductions_on_a_path_that_leaves_the_ball(which, dw1, dw2):
 def test_cov_derivative_is_complex_step_of_q(which, level, dw1, dw2):
     # gamma[:, j] is the derivative of Q along dt G[:, :, j, :]; a complex
     # step through the flow alone gives it with no subtractive error
-    model = {"dw1": dw1, "dw2": dw2}[which]
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
     fam = TruncationFamily(model, level)
-    grid = TimeGrid(model.horizon, 16)
+    grid = TimeGrid(T, 16)
     dW = sample_noise_block(grid, 8, 0, 200, model.dim)
     ch = chain_batch(fam, grid.dt, dW)
     assert np.any(np.linalg.norm(ch.X, axis=-1) > level)
@@ -312,7 +312,7 @@ def test_q_from_recursion_is_dt_gram_of_g(dw2, step):
     # Q = dt S_N from the covariance recursion equals dt sum_k G_k G_k^T,
     # in the real part and in the complex-step part
     fam = TruncationFamily(dw2, 1.5)
-    grid = TimeGrid(dw2.horizon, 16)
+    grid = TimeGrid(0.5, 16)
     dW = sample_noise_block(grid, 3, 0, 200, dw2.dim)
     if step:
         dW = dW + 1j * step * dW[::-1]
@@ -371,9 +371,9 @@ def test_step_blocks_are_bitwise_the_batch_first_chain(which, level, leave, dw1,
     # weights, whose pairing is a real tangent pass here and a complex step
     # through the batch-first chain in the reference, agree to 1e-12 relative
     model = {"dw1": dw1, "dw2": dw2, "ou": ou,
-             "bm2": BrownianModel(dim=2, x0=[0.0, 0.0], horizon=1.0)}[which]
+             "bm2": BrownianModel(dim=2, x0=[0.0, 0.0])}[which]
     fam = TruncationFamily(model, level)
-    grid = TimeGrid(model.horizon, 16)
+    grid = TimeGrid(0.5 if which == "dw2" else 1.0, 16)
     d = model.dim
     alphas = [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
     for B in (1, 50, {1: 5000, 2: 700}[d]):
@@ -412,9 +412,9 @@ def test_step_blocks_are_bitwise_the_batch_first_chain(which, level, leave, dw1,
 def test_chain_is_a_function_of_dw_values_alone(which, level, B, N, cstep, dw1):
     # the same dW values in each of the six memory orders of (B, N, d) give
     # every ChainBatch field, and the order-2 weights, bit for bit
-    model = {"dw1": dw1, "dw2": DoubleWell2DModel(x0=[0.5, 0.0], horizon=0.5)}[which]
+    model = {"dw1": dw1, "dw2": DoubleWell2DModel(x0=[0.5, 0.0])}[which]
     fam = TruncationFamily(model, level)
-    grid = TimeGrid(model.horizon, N)
+    grid = TimeGrid(0.5 if which == "dw2" else 1.0, N)
     d = model.dim
     dW = sample_noise_block(grid, 3, 0, B, d)
     if cstep:
@@ -438,9 +438,9 @@ def test_complex_chain_memory_peak_below_batch_first_peak():
     # d = 2).  This code reads a tracemalloc peak of 55.5 MB on the batch-first
     # formulation, which made full-size (B, N, ...) tensors and moved them
     # batch last whole, and 41.7 MB on the step blocks
-    m = DoubleWell2DModel(x0=[0.0, 0.0], horizon=0.5)
+    m = DoubleWell2DModel(x0=[0.0, 0.0])
     fam = TruncationFamily(m, 4.0)
-    grid = TimeGrid(m.horizon, 32)
+    grid = TimeGrid(0.5, 32)
     dW = sample_noise_block(grid, 0, 0, 2000, m.dim)
     dW = dW + 1j * 1e-100 * dW
     tracemalloc.start()
@@ -457,7 +457,7 @@ def test_order2_weights_memory_peak_below_complex_pass_peak():
     # chunk shape (B = 8192, N = 64, d = 1).  This code reads a tracemalloc
     # peak of 90.8 MB when the order-2 pairing re-runs the whole chain on a
     # complex dW, and 61.7 MB with the real tangent pass over the stored chain
-    m = DoubleWell1DModel(x0=[0.3], horizon=1.0, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
     grid = TimeGrid(1.0, 64)
     dW = sample_noise_block(grid, 0, 0, 8192, m.dim)

@@ -27,16 +27,16 @@ from malsde.models import (
 # ---------------------------------------------------------------------------
 
 def test_drift_values(dw1, ou):
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     assert base.drift(np.array([0.0])) == pytest.approx(0.0)  # [TRIVIAL]
     assert base.drift(np.array([2.0])) == pytest.approx(-6.0)  # [DERIVED] 2 - 8
-    ou3 = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    ou3 = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                  mu=[0.0], sigma0=1.0)
     assert ou3.drift(np.array([3.0])) == pytest.approx(-3.0)  # [DERIVED]
 
 
 def test_truncated_drift_values():
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     # [TRIVIAL] inside the ball the clamp is the identity
     assert TruncationFamily(base, 4.0).drift(np.array([1.0])) == pytest.approx(0.0)
     # [DERIVED] n=1, x=3: evaluate b at 1 + tanh(2)
@@ -73,7 +73,7 @@ def test_clamp_radially_one_lipschitz():
 
 
 def test_truncated_drift_matches_base_inside_ball_bitwise():
-    base = DoubleWell2DModel(x0=[0.0, 0.0], horizon=1.0)
+    base = DoubleWell2DModel(x0=[0.0, 0.0])
     fam = TruncationFamily(base, 3.0)
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1.7, 1.7, size=(500, 2))  # |x| <= 3 guaranteed
@@ -81,7 +81,7 @@ def test_truncated_drift_matches_base_inside_ball_bitwise():
 
 
 def test_truncated_drift_bounded_by_ball_sup():
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(base, 2.0)
     xs = np.linspace(-50, 50, 5001)[:, None]
     sup_ball = np.max(np.abs(base.drift(np.linspace(-3, 3, 5001)[:, None])))
@@ -120,7 +120,7 @@ def _fd_check(fn, jac_fn, x, h=1e-6, rtol=5e-6, atol=1e-7):
 
 @pytest.mark.parametrize("level", [1.5, 4.0])
 def test_truncated_drift_derivatives_fd(level):
-    base = DoubleWell2DModel(x0=[0.0, 0.0], horizon=1.0)
+    base = DoubleWell2DModel(x0=[0.0, 0.0])
     fam = TruncationFamily(base, level)
     rng = np.random.default_rng(3)
     xs = rng.uniform(-4, 4, size=(200, 2))
@@ -146,7 +146,7 @@ def _chain_rule_one_row(fam, x):
 
 @pytest.mark.parametrize("step", [0.0, 1e-100])
 def test_truncated_derivatives_base_inside_chain_rule_outside(step):
-    base = DoubleWell2DModel(x0=[0.0, 0.0], horizon=1.0)
+    base = DoubleWell2DModel(x0=[0.0, 0.0])
     fam = TruncationFamily(base, 1.5)
     rng = np.random.default_rng(7)
     xs = np.concatenate([
@@ -288,7 +288,7 @@ def test_clamp_returns_an_inside_batch_itself_and_drift_leaves_it(step):
 # ---------------------------------------------------------------------------
 
 def test_semi_monotone_linear_decay():
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                 mu=[0.0], sigma0=1.0)
     k_hat, ok = check_semi_monotone(ou, n_pairs=5000, seed=0)
     assert k_hat == pytest.approx(-1.0, abs=1e-9)  # [TRIVIAL] b = -x
@@ -296,7 +296,7 @@ def test_semi_monotone_linear_decay():
 
 
 def test_semi_monotone_double_well():
-    dw = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    dw = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     k_hat, ok = check_semi_monotone(dw, n_pairs=5000, seed=0)
     assert k_hat <= 1.0 + 1e-9  # [DERIVED] supremum 1 as y -> x -> 0
     assert ok
@@ -305,7 +305,7 @@ def test_semi_monotone_double_well():
 class _QuadDrift(SdeModel):
     def __init__(self):
         c = EllipticityConstants(1.0, 1.0, 1.0, 0.0, semi_monotone=1.0)
-        super().__init__(1, [0.0], 1.0, c)
+        super().__init__(1, [0.0], c)
 
     def drift(self, x):
         return np.asarray(x) ** 2
@@ -337,7 +337,7 @@ def test_ellipticity_constant_diag_matrix():
     class _Diag(SdeModel):
         def __init__(self):
             c = EllipticityConstants(1.0, 4.0, 4.0)
-            super().__init__(2, [0.0, 0.0], 1.0, c)
+            super().__init__(2, [0.0, 0.0], c)
 
         def drift(self, x):
             return np.zeros_like(np.asarray(x))
@@ -352,7 +352,7 @@ def test_ellipticity_constant_diag_matrix():
 
 
 def test_ellipticity_rejects_zero_diffusion():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=0.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=0.0)
     (lo, _), ok = check_ellipticity(m)
     assert lo == pytest.approx(0.0)
     assert not ok  # [TRIVIAL] degenerate case fails the declared lambda > 0
@@ -363,13 +363,13 @@ def test_ellipticity_rejects_zero_diffusion():
 # ---------------------------------------------------------------------------
 
 def test_generator_values():
-    bm = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    bm = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     xs = np.linspace(-5, 5, 11)[:, None]
     assert np.allclose(generator_apply(bm, 2, xs), 1.0)  # [TRIVIAL]
-    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], horizon=1.0, kappa=1.0,
+    ou = OrnsteinUhlenbeckModel(dim=1, x0=[0.0], kappa=1.0,
                                 mu=[0.0], sigma0=1.0)
     assert generator_apply(ou, 2, np.array([2.0])) == pytest.approx(-7.0)
-    dw = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    dw = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     assert generator_apply(dw, 2, np.array([2.0])) == pytest.approx(-23.0)
 
 
@@ -386,7 +386,7 @@ def test_generator_center_point_and_bad_p(dw1):
 
 def test_generator_domination_shape_for_double_well():
     # [DERIVED] L_n f <= alpha f + gamma with alpha = 2K + 1 on a sampled grid
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=1.0)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(base, 4.0)
     xs = np.linspace(-6, 6, 2001)[:, None]
     f = np.sum(xs * xs, axis=-1)
@@ -420,3 +420,11 @@ def test_make_model_ids(zoo):
         make_model("bm", kappa=1.0)
     with pytest.raises(ModelDefinitionError, match="mu"):
         make_model("bm", mu=[1.0])
+
+
+@pytest.mark.parametrize("mid", ["bm", "ou", "double-well-1d", "double-well-2d"])
+def test_models_take_no_horizon(mid):
+    # T belongs to the time grid; no model or truncated family holds one
+    with pytest.raises(ModelDefinitionError, match="horizon"):
+        make_model(mid, horizon=1.0)
+    assert not hasattr(TruncationFamily(make_model(mid), 4.0), "horizon")

@@ -44,7 +44,7 @@ def test_noise_determinism_and_block_consistency():
 
 
 def test_constant_paths_zero_coefficients():
-    m = BrownianModel(dim=1, x0=[1.5], horizon=1.0, sigma0=0.0)
+    m = BrownianModel(dim=1, x0=[1.5], sigma0=0.0)
     fam = TruncationFamily(m, 8.0)
     g = TimeGrid(1.0, 32)
     states = euler_states(fam, g.dt, _one_path(g, 0, 0, 1)[None])[0]
@@ -52,7 +52,7 @@ def test_constant_paths_zero_coefficients():
 
 
 def test_brownian_telescoping_exact():
-    m = BrownianModel(dim=1, x0=[0.25], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.25], sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
     g = TimeGrid(1.0, 64)
     dW = _one_path(g, 3, 11, 1)
@@ -63,7 +63,7 @@ def test_brownian_telescoping_exact():
 
 def test_ou_deterministic_euler_recursion():
     # [DERIVED] sigma = 0: X_N = x0 (1 - dt)^N, close to e^-1 at N = 1000
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[1.0], kappa=1.0,
                                mu=[0.0], sigma0=0.0)
     fam = TruncationFamily(m, 8.0)
     g = TimeGrid(1.0, 1000)
@@ -85,7 +85,7 @@ def test_chain_replay_bitwise(dw1):
 
 def test_brownian_terminal_law_ks():
     # [DERIVED] X_N ~ N(x0, sigma^2 T) exactly; KS below the 1% critical value
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
     g = TimeGrid(1.0, 8)
     dW = sample_noise_block(g, 123, 0, 100000, 1)
@@ -111,9 +111,9 @@ def _euler_batch_first(model, dt, dW):
 ])
 @pytest.mark.parametrize("step", [0.0, 1e-100])
 def test_step_major_states_match_batch_first_loop(which, level, leave, step, dw1, dw2):
-    model = {"dw1": dw1, "dw2": dw2}[which]
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
     fam = TruncationFamily(model, level)
-    g = TimeGrid(model.horizon, 128)
+    g = TimeGrid(T, 128)
     dW = sample_noise_block(g, 13, 0, 2000, model.dim)
     if step:
         dW = dW + 1j * step * sample_noise_block(g, 14, 0, 2000, model.dim)
@@ -130,7 +130,7 @@ def test_blowup_reports_step():
             x = np.asarray(x)
             return np.where(np.real(x) > 0, np.inf, 0.0) * x
 
-    m = _Explode(x0=[1.0], horizon=1.0, sigma0=1.0)
+    m = _Explode(x0=[1.0], sigma0=1.0)
     g = TimeGrid(1.0, 4)
     with pytest.raises(NumericalBlowupError, match="step"):
         euler_states(m, g.dt, _one_path(g, 0, 0, 1)[None])
@@ -147,8 +147,8 @@ class _ExplodeAbove(BrownianModel):
 def test_rerun_blowup_reports_the_full_pass_step():
     # the paths agree up to their first state above 0.5, so a re-run from
     # that step, or from step 0, blows up at the step a full pass names
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
-    bad = _ExplodeAbove(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
+    bad = _ExplodeAbove(dim=1, x0=[0.0], sigma0=1.0)
     g = TimeGrid(1.0, 16)
     dW = sample_noise_block(g, 2, 0, 50, 1)
     X = euler_states(m, g.dt, dW)
@@ -186,7 +186,7 @@ def test_coupled_pair_identical_levels_bitwise(dw1):
 def test_coupled_pair_zero_inside_ball(dw1):
     # paths staying inside B(0, n1) give exactly zero distance
     g = TimeGrid(1.0, 64)
-    base = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    base = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     dW = sample_noise_block(g, 0, 0, 10000, base.dim)
     X1 = euler_states(TruncationFamily(base, 4.0), g.dt, dW)
     X2 = euler_states(TruncationFamily(base, 8.0), g.dt, dW)
@@ -197,10 +197,10 @@ def test_coupled_pair_zero_inside_ball(dw1):
 
 def test_moment_estimate_constant_and_brownian():
     g = TimeGrid(1.0, 32)
-    m0 = BrownianModel(dim=1, x0=[2.0], horizon=1.0, sigma0=0.0)
+    m0 = BrownianModel(dim=1, x0=[2.0], sigma0=0.0)
     [(sup, se)] = moment_estimate(TruncationFamily(m0, 8.0), g, (2,), 500, 0)
     assert sup == pytest.approx(4.0) and se == 0.0  # [TRIVIAL] |x0|^p
-    m1 = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m1 = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     [(sup, se)] = moment_estimate(TruncationFamily(m1, 50.0), g, (2,), 20000, 1)
     assert abs(sup - 1.0) <= 3 * se  # [DERIVED] E W_T^2 = T
 

@@ -24,10 +24,10 @@ from malsde.simulate import TimeGrid, euler_states, sample_noise_block
 COS = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
 
-def _path(model, level, steps, seed=0, path=0):
+def _path(model, level, steps, seed=0, path=0, horizon=1.0):
     """Family, grid and the (1, steps, dim) increments of one path."""
     fam = TruncationFamily(model, level)
-    grid = TimeGrid(model.horizon, steps)
+    grid = TimeGrid(horizon, steps)
     return fam, grid, sample_noise_block(grid, seed, path, path + 1, model.dim)
 
 
@@ -38,7 +38,7 @@ def _path(model, level, steps, seed=0, path=0):
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_brownian_first_weight_closed_form(sigma):
     # [DERIVED] H_{(1)} = W_T / (sigma T) exactly, path by path
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=sigma)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=sigma)
     fam, grid, dW = _path(m, 50.0, 32, seed=4)
     got = weight_alpha(fam, grid.dt, dW, (0,))[0][0]
     wt = float(dW.sum())
@@ -47,7 +47,7 @@ def test_brownian_first_weight_closed_form(sigma):
 
 def test_brownian_iterated_weight_closed_form():
     # [DERIVED] H_{(1,1)} = (W_T^2 - T) / T^2 for sigma = 1
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 32, seed=8)
     got = weight_alpha(fam, grid.dt, dW, (0, 0))[0][0]
     wt = float(dW.sum())
@@ -58,7 +58,7 @@ def test_brownian_iterated_weight_closed_form():
 @pytest.mark.parametrize("alpha", [(0,), (0, 0)])
 def test_weight_mean_zero_linear_model(alpha):
     # [DERIVED] E[H_alpha] = E[d_alpha 1] = 0; check within 3 SE
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     grid = TimeGrid(1.0, 32)
@@ -70,7 +70,7 @@ def test_weight_mean_zero_linear_model(alpha):
 
 
 def test_weight_order_cap():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 8)
     # order 3, and coordinates outside 0..d-1 (-1 would index from the end)
     for alpha in [(0, 0, 0), (1,), (-1,), (0, 1)]:
@@ -79,7 +79,7 @@ def test_weight_order_cap():
 
 
 def test_weight_degenerate_covariance():
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=0.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=0.0)
     fam, grid, dW = _path(m, 8.0, 8)
     _, ch = weight_alpha(fam, grid.dt, dW, (0,))
     assert ch.degenerate[0]
@@ -91,8 +91,8 @@ def test_brownian_chain_is_ou_kappa_zero(dim):
     # and every state, chain field and weight is bitwise OU's
     assert not {"drift", "drift_jac", "drift_hess", "diffusion"} & set(vars(BrownianModel))
     x0 = [0.3, -0.2][:dim]
-    bm = BrownianModel(dim=dim, x0=x0, horizon=1.0, sigma0=1.3)
-    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, horizon=1.0, kappa=0.0, mu=0.0,
+    bm = BrownianModel(dim=dim, x0=x0, sigma0=1.3)
+    ou = OrnsteinUhlenbeckModel(dim=dim, x0=x0, kappa=0.0, mu=0.0,
                                 sigma0=1.3)
     grid = TimeGrid(1.0, 16)
     dW = sample_noise_block(grid, 7, 0, 400, dim)
@@ -117,8 +117,8 @@ def test_inner_pairing_matches_fd(which, dw1, dw2):
     # [DERIVED] the complex-step pairing is the derivative of H_(i1) along
     # w = dt sum_j Qinv_{i2 j} G[:, :, j, :]; central differences agree to
     # relative error 1e-6
-    model = {"dw1": dw1, "dw2": dw2}[which]
-    fam, grid, dW = _path(model, 4.0, 8, seed=2)
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
+    fam, grid, dW = _path(model, 4.0, 8, seed=2, horizon=T)
     ch = chain_batch(fam, grid.dt, dW)
     h = 1e-4
     for i1 in range(model.dim):
@@ -136,7 +136,7 @@ def test_brownian_inner_pairing_is_one():
     # [DERIVED] H = W_T / (sigma T), so D_k H = 1 / (sigma T); with G_k = sigma
     # and Qinv = 1 / (sigma^2 T) = 1 at sigma = T = 1 the pairing
     # dt sum_k D_k H Qinv G_k is exactly 1
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam, grid, dW = _path(m, 50.0, 8)
     pair = _inner_pairing(fam, chain_batch(fam, grid.dt, dW), 0, 0)
     assert np.allclose(pair.real, 1.0, rtol=1e-11)
@@ -146,9 +146,9 @@ def test_brownian_inner_pairing_is_one():
 def test_inner_pairing_is_qinv_row_of_per_direction_steps(which, dw1, dw2):
     # [DERIVED] the pairing is linear in its direction, so the one step along
     # w equals sum_j Qinv_{i2 j} times the step along dt G[:, :, j, :]
-    model = {"dw1": dw1, "dw2": dw2}[which]
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
     fam = TruncationFamily(model, 0.5)
-    grid = TimeGrid(model.horizon, 8)
+    grid = TimeGrid(T, 8)
     dW = sample_noise_block(grid, 5, 0, 64, model.dim)
     ch = chain_batch(fam, grid.dt, dW)
     assert _outside(ch.X, fam.level).any()  # clamp terms enter Q and its inverse
@@ -170,9 +170,9 @@ def test_order2_weight_makes_no_complex_chain_pass(which, alpha, dw1, dw2, monke
     # the pairing is a real tangent pass over the stored chain: no chain is
     # re-run, and complex numbers reach only the pointwise second-derivative
     # calls that give the third derivatives
-    model = {"dw1": dw1, "dw2": dw2}[which]
+    model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
     fam = TruncationFamily(model, 4.0)
-    grid = TimeGrid(model.horizon, 8)
+    grid = TimeGrid(T, 8)
     dW = sample_noise_block(grid, 3, 0, 16, model.dim)
     ch = chain_batch(fam, grid.dt, dW)
     chains, complex_inputs = [], set()
@@ -205,7 +205,7 @@ def test_order2_weight_makes_no_complex_chain_pass(which, alpha, dw1, dw2, monke
 
 @pytest.mark.parametrize("alpha,tol", [((0,), 1e-10), ((0, 0), 1e-9)])
 def test_oracle_linear_model(alpha, tol):
-    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], horizon=1.0, kappa=1.0,
+    m = OrnsteinUhlenbeckModel(dim=1, x0=[0.5], kappa=1.0,
                                mu=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 8.0)
     [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], horizon=1.0, nodes=64)
@@ -214,7 +214,7 @@ def test_oracle_linear_model(alpha, tol):
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_oracle_brownian_all_step_counts(steps):
-    m = BrownianModel(dim=1, x0=[0.0], horizon=1.0, sigma0=1.0)
+    m = BrownianModel(dim=1, x0=[0.0], sigma0=1.0)
     fam = TruncationFamily(m, 50.0)
     [(lhs, rhs, gap)] = quadrature_oracle(fam, steps, [COS], [(0,)], horizon=1.0,
                                           nodes=48)
@@ -226,7 +226,7 @@ def test_oracle_brownian_all_step_counts(steps):
 @pytest.mark.parametrize("alpha,tol", [((0,), 1e-8), ((0, 0), 1e-6)])
 def test_oracle_nonlinear_model(alpha, tol):
     # short horizon keeps the Gauss-Hermite truncation error below tol
-    m = DoubleWell1DModel(x0=[0.3], horizon=0.5, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
     [(lhs, rhs, gap)] = quadrature_oracle(fam, 2, [COS], [alpha], horizon=0.5, nodes=128)
     assert abs(lhs) > 1e-3  # the identity is checked on a nontrivial value
@@ -250,7 +250,7 @@ def test_oracle_input_validation(dw2, dw1):
 
 def test_weight_l2_stable_across_levels():
     # paths rarely leave B(0, 2), so weights barely depend on the level
-    m = DoubleWell1DModel(x0=[0.0], horizon=1.0, sigma0=0.8)
+    m = DoubleWell1DModel(x0=[0.0], sigma0=0.8)
     grid = TimeGrid(1.0, 32)
     dW = sample_noise_block(grid, 31, 0, 5000, 1)
     norms = []
