@@ -591,8 +591,11 @@ def truncation_convergence(base, levels, grid: TimeGrid, n_paths: int, p: int = 
     outside it (`_convergence_chunk`); the sums are bitwise those of a full
     Euler pass per level.  Returns ("truncation", "n_lo->n_hi", N, value,
     passed) rows in level order, the row shape of `step_halving_checks`; a
-    row fails iff its value exceeds the previous row's by > 1e-15.
+    row fails iff its value exceeds the previous row's by > 1e-15.  Needs
+    n_paths >= 2, the floor of `bound_checks`.
     """
+    if n_paths < 2:
+        raise ValueError(f"converge needs at least 2 paths, got {n_paths}")
     levels = _distinct_levels(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")

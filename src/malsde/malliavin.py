@@ -38,6 +38,11 @@ tangent pass along w over the stored chain (`_inner_pairing`): the values
 are read, only tangents are computed, and complex numbers appear only in
 one complex step of the model's second derivatives per step block, which
 gives the third derivatives no model provides.
+A model with constant sigma (`constant_diffusion`) has no grad sigma and
+no grad^2 sigma: its chain holds Js = None, no `diffusion_jac` or
+`diffusion_hess` call is made, and every term that would multiply one is
+skipped, in the chain and in both tangent passes.  A None value, like a
+None tangent, is zero and adds no term.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ class ChainBatch:
       sig (N,d,d,B), Js (N,d,d,d,B) = grad sigma, A (N,d,d,B) the step
       Jacobians, E (N,d,d,d,B) their derivatives, S (N+1,d,d,B) and
       P (N,d,d,B) the suffix products; the order-2 weights' tangent pass
-      reads them.
+      reads them.  Js is None when the model's sigma is constant
+      (`constant_diffusion`): its grad sigma terms are skipped, not zeroed.
     """
 
     dt: float
@@ -97,7 +103,7 @@ class ChainBatch:
     delta: np.ndarray
     gamma: np.ndarray
     sig: np.ndarray
-    Js: np.ndarray
+    Js: np.ndarray | None
     A: np.ndarray
     E: np.ndarray
     S: np.ndarray
@@ -117,7 +123,9 @@ def _first(a):
 def _steps(model, dt, dW, hess=False):
     """Euler states X (B,N+1,d) and, batch last, sigma (N,d,d,B), grad sigma
     Js (N,d,d,d,B) and the step Jacobians A (N,d,d,B); with hess=True also
-    E (N,d,d,d,B), E[n,i,p,q] = d(A_n)_{ip} / dX_n^q (else None).
+    E (N,d,d,d,B), E[n,i,p,q] = d(A_n)_{ip} / dX_n^q (else None).  For a
+    model with constant sigma, Js is None: `diffusion_jac` and
+    `diffusion_hess` are not called and A and E get no dW terms.
 
     The model is called on the step-major states in blocks of steps whose
     sigma holds about `_BLOCK_WORDS` words.  Each block's values are moved
@@ -130,23 +138,25 @@ def _steps(model, dt, dW, hess=False):
     Xs = np.swapaxes(X, 0, 1)  # the contiguous step-major states (N+1, B, d)
     sig = np.empty((N, d, d, B), dtype=dW.dtype)
     A = np.empty_like(sig)
-    Js = np.empty((N, d, d, d, B), dtype=dW.dtype)
-    E = np.empty_like(Js) if hess else None
+    Js = None if model.constant_diffusion else np.empty((N, d, d, d, B), dtype=dW.dtype)
+    E = np.empty((N, d, d, d, B), dtype=dW.dtype) if hess else None
     eye = np.eye(d, dtype=dW.dtype)[..., None]
     step = max(1, _BLOCK_WORDS // (max(B, 1) * d * d))
     for lo in range(0, N, step):
         blk = slice(lo, min(lo + step, N))
         x, w = Xs[blk], _last(dW[:, blk])
         sig[blk] = np.moveaxis(model.diffusion(x), 1, -1)
-        Js[blk] = np.moveaxis(model.diffusion_jac(x), 1, -1)
         np.multiply(np.moveaxis(model.drift_jac(x), 1, -1), dt, out=A[blk])
         A[blk] += eye
-        A[blk] += np.einsum("nilpb,nlb->nipb", Js[blk], w)
+        if Js is not None:
+            Js[blk] = np.moveaxis(model.diffusion_jac(x), 1, -1)
+            A[blk] += np.einsum("nilpb,nlb->nipb", Js[blk], w)
         if hess:
             np.multiply(np.moveaxis(model.drift_hess(x), 1, -1), dt, out=E[blk])
-            # a contiguous block copy: einsum's fast loop runs along unit-stride b
-            hs = np.ascontiguousarray(np.moveaxis(model.diffusion_hess(x), 1, -1))
-            E[blk] += np.einsum("nilpqb,nlb->nipqb", hs, w)
+            if Js is not None:
+                # a contiguous block copy: einsum's fast loop runs along unit-stride b
+                hs = np.ascontiguousarray(np.moveaxis(model.diffusion_hess(x), 1, -1))
+                E[blk] += np.einsum("nilpqb,nlb->nipqb", hs, w)
     return X, sig, Js, A, E
 
 
@@ -233,15 +243,15 @@ def _cov_row_derivatives(dt, G, sig, Js, A, E, S, tangents=None):
     holds the batch-last tangents (tG, tsig, tJs, tA, tE, tS) of
     (G, sig, Js, A, E, S) along one direction of dW; the pass then carries
     every quantity above as a (value, tangent) pair and differentiates each
-    product by `_dual`.
+    product by `_dual`.  Js None (constant sigma) makes tsig and every
+    product with Js or tsig None, so they are skipped.
     """
     N, d, _, B = sig.shape
     values, tans = (G, sig, Js, A, E, S), tangents or (None,) * 6
     tX = (np.zeros((d, d, B), dtype=sig.dtype), None)     # (j, i, b)
     tS = (np.zeros((d, d, d, B), dtype=sig.dtype), None)  # (j, i, q, b)
     for m in range(N):
-        Gm, sm, Jm, Am, Em, Sm = [(a[m], None if t is None else t[m])
-                                  for a, t in zip(values, tans)]
+        Gm, sm, Jm, Am, Em, Sm = [(_at(a, m), _at(t, m)) for a, t in zip(values, tans)]
         v = _scaled(dt, Gm)                               # (j, a, b)
         tA = _add(_dual("ipqb,jqb->jipb", Em, tX), _dual("ilpb,jlb->jipb", Jm, v))
         tsig = _dual("ilpb,jpb->jilb", Jm, tX)
@@ -254,13 +264,17 @@ def _cov_row_derivatives(dt, G, sig, Js, A, E, S, tangents=None):
 
 
 # (value, tangent) pairs carry a tangent along one direction of dW; a None
-# tangent is zero and adds no term
+# value or tangent is zero and adds no term
 def _plus(x, y):
     return y if x is None else x if y is None else x + y
 
 
+def _at(a, m):
+    return None if a is None else a[m]
+
+
 def _add(p, q):
-    return p[0] + q[0], _plus(p[1], q[1])
+    return _plus(p[0], q[0]), _plus(p[1], q[1])
 
 
 def _scaled(c, p):
@@ -279,6 +293,8 @@ def _tangent(spec, *ops):
 
 
 def _dual(spec, *ops):
+    if any(v is None for v, _ in ops):
+        return None, None
     return np.einsum(spec, *(v for v, _ in ops)), _tangent(spec, *ops)
 
 
@@ -307,6 +323,8 @@ def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
     in tE come from one complex step of the model's `drift_hess` and
     `diffusion_hess` per step block at X + i eps tX, whose real part also
     gives grad^2 sigma; those pointwise calls are the only complex arithmetic.
+    With constant sigma (ch.Js None) tsig, tJs, the `diffusion_hess` call
+    and their terms are skipped: tA = E.tX and tE is the drift's part alone.
     tX and w are dropped once read and tP is carried one step at a time, so
     at most six (N, ..., B) tangent arrays are held beside `ch`.
     """
@@ -318,20 +336,25 @@ def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
     for m in range(N):
         tX[m + 1] = np.einsum("ipb,pb->ib", A[m], tX[m]) + np.einsum("ilb,lb->ib", sig[m], w[m])
     tA = np.einsum("nipqb,nqb->nipb", E, tX[:-1])
-    tA += np.einsum("nilpb,nlb->nipb", Js, w)
-    tsig = np.einsum("nilpb,npb->nilb", Js, tX[:-1])
+    tsig = tJs = None
+    if Js is not None:
+        tA += np.einsum("nilpb,nlb->nipb", Js, w)
+        tsig = np.einsum("nilpb,npb->nilb", Js, tX[:-1])
+        tJs = np.empty_like(Js)
 
     # tJs = grad^2 sigma . tX and tE, step block by step block as in `_steps`
     Xs = np.swapaxes(ch.X, 0, 1)
-    tJs, tE = np.empty_like(Js), np.empty_like(E)
+    tE = np.empty_like(E)
     step = max(1, _BLOCK_WORDS // (max(B, 1) * d * d))
     for lo in range(0, N, step):
         blk = slice(lo, min(lo + step, N))
         x = Xs[blk] + (1j * _CSTEP) * np.swapaxes(tX[blk], 1, 2)
+        np.multiply(np.moveaxis(model.drift_hess(x).imag, 1, -1), dt / _CSTEP, out=tE[blk])
+        if Js is None:
+            continue
         hs = np.moveaxis(model.diffusion_hess(x), 1, -1)
         hr = np.ascontiguousarray(hs.real)
         tJs[blk] = np.einsum("nilpqb,nqb->nilpb", hr, tX[blk])
-        np.multiply(np.moveaxis(model.drift_hess(x).imag, 1, -1), dt / _CSTEP, out=tE[blk])
         tE[blk] += np.einsum("nilpqb,nlb->nipqb", np.ascontiguousarray(hs.imag) / _CSTEP,
                              _last(ch.dW[:, blk]))
         tE[blk] += np.einsum("nilpqb,nlb->nipqb", hr, w[blk])
@@ -340,15 +363,16 @@ def _inner_pairing(model, ch: ChainBatch, i1: int, i2: int):
 
     tS = np.zeros_like(S)
     for m in range(N):
-        M = (np.einsum("ipb,prb,qrb->iqb", tA[m], S[m], A[m])
-             + np.einsum("ilb,qlb->iqb", tsig[m], sig[m]))
+        M = np.einsum("ipb,prb,qrb->iqb", tA[m], S[m], A[m])
+        if tsig is not None:
+            M += np.einsum("ilb,qlb->iqb", tsig[m], sig[m])
         tS[m + 1] = np.einsum("ipb,pqb,rqb->irb", A[m], tS[m], A[m]) + M + np.swapaxes(M, 0, 1)
     trace = _tangent("mjqb,mqrpb,mrpb->jb", (P, None), (E, tE), (S[:-1], tS[:-1]))
     # tP backward, one step at a time: tG and the trace term's tP part per step
     tG = np.empty_like(G)
     tP = np.zeros((d, d, B))
     for m in range(N - 1, -1, -1):
-        tG[m] = _tangent("ijb,jlb->ilb", (P[m], tP), (sig[m], tsig[m]))
+        tG[m] = _tangent("ijb,jlb->ilb", (P[m], tP), (sig[m], _at(tsig, m)))
         trace += np.einsum("jqb,qrpb,rpb->jb", tP, E[m], S[m])
         tP = _tangent("ipb,pjb->ijb", (P[m], tP), (A[m], tA[m]))
     ito += np.einsum("kjab,kba->jb", tG, np.ascontiguousarray(np.swapaxes(ch.dW, 0, 1)))

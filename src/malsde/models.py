@@ -73,9 +73,16 @@ class SdeModel:
     def drift_hess(self, x):  # (..., d, d, d): [i, p, q]
         raise NotImplementedError
 
-    # diffusion and its derivatives
+    # diffusion and its derivatives; a class that keeps the zero default
+    # grad sigma has constant sigma (`constant_diffusion`)
     def diffusion(self, x):  # (..., d, d): [i, l]
         raise NotImplementedError
+
+    @property
+    def constant_diffusion(self) -> bool:
+        """True iff the class keeps the zero default `diffusion_jac`: sigma is
+        then constant, and every grad sigma and grad^2 sigma term is zero."""
+        return type(self).diffusion_jac is SdeModel.diffusion_jac
 
     def diffusion_jac(self, x):  # (..., d, d, d): [i, l, p] = d sigma_il / d x_p
         d = self.dim
@@ -334,6 +341,10 @@ class TruncationFamily:
         return H
 
     # diffusion is left untouched by the truncation
+    @property
+    def constant_diffusion(self) -> bool:
+        return self.base.constant_diffusion
+
     def diffusion(self, x):
         return self.base.diffusion(x)
 

@@ -744,12 +744,13 @@ def test_convergence_sweep_matches_every_level_run(case, p, monkeypatch):
 
 
 def test_truncation_convergence_flags_a_rising_value(dw1, monkeypatch):
-    # planted pair sums of one chunk of one path, so at p = 1 the values are
-    # the sums: a rise within 1e-15 is round-off, a larger one fails its row
-    sums = [1e-3, 0.0, 5e-16, 0.25]
+    # planted pair sums of one chunk of two paths, so at p = 1 the values are
+    # half the sums, exactly: a rise within 1e-15 is round-off, a larger one
+    # fails its row
+    sums = [2e-3, 0.0, 1e-15, 0.5]
     monkeypatch.setattr(malsde.bounds, "_convergence_chunk", lambda *args: sums)
-    rows = truncation_convergence(dw1, (1.0, 2.0, 4.0, 8.0, 16.0), TimeGrid(1.0, 8), 1, p=1)
-    assert [r[3] for r in rows] == sums
+    rows = truncation_convergence(dw1, (1.0, 2.0, 4.0, 8.0, 16.0), TimeGrid(1.0, 8), 2, p=1)
+    assert [r[3] for r in rows] == [1e-3, 0.0, 5e-16, 0.25]
     assert [ok for *_, ok in rows] == [True, True, True, False]
 
 

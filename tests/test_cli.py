@@ -315,6 +315,17 @@ def test_exit_code_fewer_than_two_paths(tmp_path, capsys, sub, csv_name):
     assert "at least 2 paths, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("paths", [0, 1])
+def test_converge_needs_two_paths(tmp_path, capsys, paths):
+    # no path writes no truncation row, and one path's coupled gaps read as a
+    # judged row: both are config errors, with no CSV
+    code = _run(["converge", "--out", tmp_path, "--set", f"paths={paths}",
+                 "--set", "grid.steps=8"])
+    assert code == 2
+    assert not (tmp_path / "converge.csv").exists()
+    assert f"converge needs at least 2 paths, got {paths}" in capsys.readouterr().err
+
+
 def test_density_exits_3_when_one_valid_path_is_left(tmp_path, capsys, monkeypatch):
     # a planted mask drops all paths but one: too few left for an SE
     real = malsde.density.weight_samples

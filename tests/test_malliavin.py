@@ -332,20 +332,24 @@ def test_q_from_recursion_is_dt_gram_of_g(dw2, step):
 def _batch_first_steps(model, dt, dW, hess=False):
     """`malliavin._steps` as formulated batch first: every model callable on
     the whole (B, N, d) states, the dW contractions batch first, and each
-    array moved batch last whole."""
+    array moved batch last whole.  A model with constant sigma gets Js None
+    and no grad sigma terms."""
     d = dW.shape[-1]
     X = euler_states(model, dt, dW)
     Xk = X[:, :-1, :]
-    Js = model.diffusion_jac(Xk)
+    Js = None if model.constant_diffusion else model.diffusion_jac(Xk)
     A = model.drift_jac(Xk) * dt
     A += np.eye(d, dtype=dW.dtype)
-    A += np.einsum("bnilp,bnl->bnip", Js, dW)
+    if Js is not None:
+        A += np.einsum("bnilp,bnl->bnip", Js, dW)
     E = None
     if hess:
         E = model.drift_hess(Xk) * dt
-        E += np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW)
+        if Js is not None:
+            E += np.einsum("bnilpq,bnl->bnipq", model.diffusion_hess(Xk), dW)
         E = malliavin._last(E)
-    return X, malliavin._last(model.diffusion(Xk)), malliavin._last(Js), malliavin._last(A), E
+    Js = None if Js is None else malliavin._last(Js)
+    return X, malliavin._last(model.diffusion(Xk)), Js, malliavin._last(A), E
 
 
 def _batch_first_pairing(model, ch, i1, i2):
@@ -358,6 +362,14 @@ def _batch_first_pairing(model, ch, i1, i2):
 
 _CHAIN_FIELDS = ("dW", "X", "G", "Q", "Qinv", "det_q", "degenerate", "delta", "gamma",
                  "sig", "Js", "A", "E", "S", "P")
+
+
+def _bitwise(g, w):
+    """Both arrays equal bit for bit in dtype and values, or both None (the
+    Js of a model with constant sigma)."""
+    if g is None or w is None:
+        return g is None and w is None
+    return g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("which,level,leave", [
@@ -394,7 +406,7 @@ def test_step_blocks_are_bitwise_the_batch_first_chain(which, level, leave, dw1,
             pairs = [(name, getattr(got, name), getattr(want, name)) for name in _CHAIN_FIELDS]
             pairs += [("flow X", got_flow[0], want_flow[0]), ("flow S", got_flow[1], want_flow[1])]
             for name, g, w in pairs:
-                assert g.dtype == w.dtype and np.array_equal(g, w), (name, B, cstep)
+                assert _bitwise(g, w), (name, B, cstep)
             for a, g, w in zip(alphas, got_h or [], want_h or []):
                 assert g.dtype == w.dtype, a
                 if len(a) == 1:
@@ -430,7 +442,53 @@ def test_chain_is_a_function_of_dw_values_alone(which, level, B, N, cstep, dw1):
         if want is None:
             want = got
         for name, g, w in zip(_CHAIN_FIELDS + tuple(map(str, alphas)), got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w), (name, perm)
+            assert _bitwise(g, w), (name, perm)
+
+
+class _ExplicitZeroGradSigma:
+    """Mixin giving grad sigma and grad^2 sigma as explicit zero arrays, so
+    that `constant_diffusion` is False and the chain runs every term."""
+
+    def diffusion_jac(self, x):
+        return np.zeros(np.shape(x)[:-1] + (self.dim,) * 3, dtype=np.asarray(x).dtype)
+
+    def diffusion_hess(self, x):
+        return np.zeros(np.shape(x)[:-1] + (self.dim,) * 4, dtype=np.asarray(x).dtype)
+
+
+@pytest.mark.parametrize("cls,params,level", [
+    (DoubleWell1DModel, {"x0": [0.3], "sigma0": 0.8}, 4.0),
+    (DoubleWell1DModel, {"x0": [0.3], "sigma0": 0.8}, 1.0),
+    (OrnsteinUhlenbeckModel, {"dim": 1, "x0": [0.5]}, 8.0),
+    (OrnsteinUhlenbeckModel, {"dim": 2, "x0": [0.5, -0.2], "kappa": 0.7}, 8.0),
+    (BrownianModel, {"dim": 2, "x0": [0.0, 0.0]}, 8.0)],
+    ids=["dw1-level4", "dw1-level1", "ou-d1", "ou-d2", "bm-d2"])
+def test_constant_sigma_skips_exactly_the_zero_terms(cls, params, level):
+    # the chain of a constant-sigma model holds Js None and skips its terms;
+    # given the same sigma with explicit zero derivatives it runs them all,
+    # and every other ChainBatch field and every order-1 and order-2 weight
+    # is the same bit for bit, in a batch whose step blocks do not divide N
+    fam = TruncationFamily(cls(**params), level)
+    explicit = TruncationFamily(type("Explicit", (_ExplicitZeroGradSigma, cls), {})(**params),
+                                level)
+    assert fam.constant_diffusion and not explicit.constant_diffusion
+    grid = TimeGrid(1.0, 16)
+    d = fam.dim
+    B = {1: 5000, 2: 700}[d]
+    assert grid.steps % max(1, malliavin._BLOCK_WORDS // (B * d * d))
+    dW = sample_noise_block(grid, 3, 0, B, d)
+    got, want = chain_batch(fam, grid.dt, dW), chain_batch(explicit, grid.dt, dW)
+    assert got.Js is None and want.Js is not None and not np.any(want.Js)
+    if level < 2:
+        assert np.any(np.abs(got.X) > level)
+    for name in _CHAIN_FIELDS:
+        if name != "Js":
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    alphas = [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(d)]
+    for a, g, w in zip(alphas, weights_from_chain(fam, got, alphas),
+                       weights_from_chain(explicit, want, alphas)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), a
 
 
 def test_complex_chain_memory_peak_below_batch_first_peak():
@@ -456,7 +514,9 @@ def test_order2_weights_memory_peak_below_complex_pass_peak():
     # one real chain and its order-1 and order-2 weights at the density-1d
     # chunk shape (B = 8192, N = 64, d = 1).  This code reads a tracemalloc
     # peak of 90.8 MB when the order-2 pairing re-runs the whole chain on a
-    # complex dW, and 61.7 MB with the real tangent pass over the stored chain
+    # complex dW, 61.7 MB with the real tangent pass over the stored chain,
+    # and 48.6 MB once the constant sigma's zero grad sigma and grad^2 sigma
+    # arrays and their terms are skipped
     m = DoubleWell1DModel(x0=[0.3], sigma0=0.8)
     fam = TruncationFamily(m, 4.0)
     grid = TimeGrid(1.0, 64)
@@ -467,7 +527,7 @@ def test_order2_weights_memory_peak_below_complex_pass_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 76e6, peak / 1e6
+    assert peak < 52e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------

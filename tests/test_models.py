@@ -428,3 +428,14 @@ def test_models_take_no_horizon(mid):
     with pytest.raises(ModelDefinitionError, match="horizon"):
         make_model(mid, horizon=1.0)
     assert not hasattr(TruncationFamily(make_model(mid), 4.0), "horizon")
+
+
+@pytest.mark.parametrize("mid,constant", [("bm", True), ("ou", True), ("double-well-1d", True),
+                                          ("double-well-2d", False)])
+def test_constant_diffusion_follows_the_class(mid, constant):
+    # a class that keeps the zero default grad sigma has constant sigma; a
+    # truncated family reports its base's value, whatever the level
+    model = make_model(mid)
+    assert model.constant_diffusion is constant
+    for level in (0.5, 8.0):
+        assert TruncationFamily(model, level).constant_diffusion is constant

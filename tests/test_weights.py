@@ -169,13 +169,13 @@ def test_inner_pairing_is_qinv_row_of_per_direction_steps(which, dw1, dw2):
 def test_order2_weight_makes_no_complex_chain_pass(which, alpha, dw1, dw2, monkeypatch):
     # the pairing is a real tangent pass over the stored chain: no chain is
     # re-run, and complex numbers reach only the pointwise second-derivative
-    # calls that give the third derivatives
+    # calls that give the third derivatives; a model with constant sigma
+    # (dw1) has its grad sigma and grad^2 sigma asked for by neither pass
     model, T = {"dw1": (dw1, 1.0), "dw2": (dw2, 0.5)}[which]
     fam = TruncationFamily(model, 4.0)
     grid = TimeGrid(T, 8)
     dW = sample_noise_block(grid, 3, 0, 16, model.dim)
-    ch = chain_batch(fam, grid.dt, dW)
-    chains, complex_inputs = [], set()
+    chains, calls, complex_inputs = [], set(), set()
 
     def counted(model, dt, dW):
         chains.append(dW)
@@ -185,18 +185,25 @@ def test_order2_weight_makes_no_complex_chain_pass(which, alpha, dw1, dw2, monke
         method = getattr(fam, name)
 
         def call(x):
+            calls.add(name)
             if np.iscomplexobj(x):
                 complex_inputs.add(name)
             return method(x)
         return call
 
-    monkeypatch.setattr(malliavin, "chain_batch", counted)
     for name in ("drift", "drift_jac", "drift_hess", "diffusion", "diffusion_jac",
                  "diffusion_hess"):
         monkeypatch.setattr(fam, name, watched(name))
+    ch = chain_batch(fam, grid.dt, dW)
+    monkeypatch.setattr(malliavin, "chain_batch", counted)
     weights_from_chain(fam, ch, [alpha])
     assert chains == []
-    assert complex_inputs == {"drift_hess", "diffusion_hess"}
+    if which == "dw1":
+        assert complex_inputs == {"drift_hess"}
+        assert not calls & {"diffusion_jac", "diffusion_hess"}
+    else:
+        assert complex_inputs == {"drift_hess", "diffusion_hess"}
+        assert {"diffusion_jac", "diffusion_hess"} <= calls
 
 
 # ---------------------------------------------------------------------------
